@@ -4,7 +4,8 @@
 # driven by the exported compile_commands.json), ctest, the
 # benchmark-regression gate, then a sanitizer smoke pass
 # (-DSANITIZE=address,undefined) over the
-# stream-API tests and the full-stack quickstart example, and a
+# stream-API tests, the fault suite, the key-value store workloads and the
+# full-stack quickstart example, and a
 # ThreadSanitizer smoke pass over the multithreaded partitioned-engine
 # tests plus the open-loop overload harness (-DSANITIZE=thread,
 # M2NDP_THREADS=2).
@@ -74,6 +75,13 @@ if [[ "$run_sanitize" == 1 ]]; then
         smoke_filter='smoke_quickstart'
     fi
     ctest --test-dir "$san_dir" --output-on-failure -R "$smoke_filter"
+    if [[ "$smoke_filter" != smoke_quickstart ]]; then
+        # Key-value store workloads under LeakSanitizer: the host-baseline
+        # chain walk once leaked every request's closure through a
+        # self-owning shared_ptr cycle.
+        cmake --build "$san_dir" -j "$jobs" --target test_workloads
+        "$san_dir/test_workloads" --gtest_filter='WorkloadTest.Kvstore*'
+    fi
 
     echo "==> ThreadSanitizer smoke (-DSANITIZE=thread, M2NDP_THREADS=2)"
     # The partitioned engine runs one executor thread per expander; TSan

@@ -194,7 +194,8 @@ CxlMemoryExpander::CxlMemoryExpander(EventQueue &eq, SparseMemory &global_mem,
     // pages; Section III-H notes 16 B / page overhead).
     Addr tlb_base = paBase() + cfg_.capacity - layout::kM2FuncReserve -
                     32 * kMiB;
-    dram_tlb_ = std::make_unique<DramTlb>(tlb_base, 32 * kMiB, 2 * kMiB);
+    dram_tlb_ =
+        std::make_unique<DramTlb>(tlb_base, 32 * kMiB, layout::kPageSize);
 
     media_link_free_.assign(std::max(1u, cfg_.media_links), 0);
 }
@@ -525,25 +526,10 @@ CxlMemoryExpander::funcWrite(Addr pa, const void *in, unsigned size)
     mem_.write(pa, in, size);
 }
 
-void
-CxlMemoryExpander::funcRead(Addr pa, void *out, unsigned size,
-                            SparseMemory::FrameHint &hint)
+std::uint8_t *
+CxlMemoryExpander::funcFrame(Addr pa, bool allocate)
 {
-    mem_.read(pa, out, size, hint);
-}
-
-void
-CxlMemoryExpander::funcWrite(Addr pa, const void *in, unsigned size,
-                             SparseMemory::FrameHint &hint)
-{
-    mem_.write(pa, in, size, hint);
-}
-
-std::uint64_t
-CxlMemoryExpander::funcAmo(AmoOp op, Addr pa, std::uint64_t operand,
-                           unsigned width)
-{
-    return amoExecute(mem_, op, pa, operand, width);
+    return allocate ? mem_.framePointerForWrite(pa) : mem_.framePointer(pa);
 }
 
 M2NDP_HOT_PATH
@@ -566,12 +552,6 @@ void
 CxlMemoryExpander::dramTlbRefill(Asid asid, Addr va)
 {
     dram_tlb_->refill(asid, va);
-}
-
-std::uint64_t
-CxlMemoryExpander::translationPageSize()
-{
-    return 2 * kMiB;
 }
 
 std::optional<SpawnItem>
@@ -630,9 +610,8 @@ CxlMemoryExpander::readKernelText(Asid asid, Addr va, std::uint32_t size,
         auto pa = translateFunctional(asid, cursor);
         if (!pa)
             return false;
-        std::uint64_t page = translationPageSize();
-        std::uint64_t chunk =
-            std::min<std::uint64_t>(remaining, page - (cursor % page));
+        std::uint64_t chunk = std::min<std::uint64_t>(
+            remaining, layout::kPageSize - (cursor % layout::kPageSize));
         std::string buf(chunk, '\0');
         mem_.read(*pa, buf.data(), chunk);
         out += buf;

@@ -140,6 +140,11 @@ class CxlMemoryExpander : public NdpUnitEnv, public NdpControllerEnv
     /** A CXL.mem read (M2S Req) arrived. @p done carries the data tick. */
     void cxlRead(Addr hpa, std::uint32_t size, TickCallback done);
 
+    /** Untimed physical-memory access for host-side callers (response
+     *  data, kernel-text upload). */
+    void funcRead(Addr pa, void *out, unsigned size);
+    void funcWrite(Addr pa, const void *in, unsigned size);
+
     // ---- driver-level (CXL.io) management ----
 
     /** Allocate and install an M2func region for a process. @return its
@@ -205,18 +210,10 @@ class CxlMemoryExpander : public NdpUnitEnv, public NdpControllerEnv
     void unitMemAccess(unsigned unit, MemOp op, Addr pa, std::uint32_t size,
                        TickCallback done) override;
     std::optional<Addr> translateFunctional(Asid asid, Addr va) override;
-    void funcRead(Addr pa, void *out, unsigned size) override;
-    void funcWrite(Addr pa, const void *in, unsigned size) override;
-    void funcRead(Addr pa, void *out, unsigned size,
-                  SparseMemory::FrameHint &hint) override;
-    void funcWrite(Addr pa, const void *in, unsigned size,
-                   SparseMemory::FrameHint &hint) override;
-    std::uint64_t funcAmo(AmoOp op, Addr pa, std::uint64_t operand,
-                          unsigned width) override;
+    std::uint8_t *funcFrame(Addr pa, bool allocate) override;
     Addr dramTlbEntryPa(Asid asid, Addr va) override;
     bool dramTlbWarm(Asid asid, Addr va) override;
     void dramTlbRefill(Asid asid, Addr va) override;
-    std::uint64_t translationPageSize() override;
     std::optional<SpawnItem> pullWork(unsigned unit) override;
     void requeueWork(unsigned unit, const SpawnItem &item) override;
     void uthreadFinished(KernelInstance *inst) override;

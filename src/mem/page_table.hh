@@ -36,6 +36,12 @@ inline constexpr std::uint64_t kKernelArgWindow = 256;
 inline constexpr Addr kKernelArgVa =
     kScratchpadVaBase + kScratchpadSize - kKernelArgWindow;
 
+/**
+ * Translation page size: the paper's 2 MiB page placement granularity.
+ * Page tables, the D-TLB and the DRAM-TLB all translate at this size.
+ */
+inline constexpr std::uint64_t kPageSize = 2 * kMiB;
+
 /** User heap VA base. */
 inline constexpr Addr kHeapVaBase = 0x400000000000ull;
 
@@ -69,18 +75,13 @@ isScratchpadVa(Addr va)
 
 } // namespace layout
 
-/**
- * Per-process page table. Fixed page size per table (2 MiB default, matching
- * the paper's page placement granularity; 4 KiB selectable for DRAM-TLB
- * overhead studies).
- */
+/** Per-process page table over layout::kPageSize pages. */
 class PageTable
 {
   public:
-    explicit PageTable(Asid asid, std::uint64_t page_size = 2 * kMiB);
+    explicit PageTable(Asid asid) : asid_(asid) {}
 
     Asid asid() const { return asid_; }
-    std::uint64_t pageSize() const { return page_size_; }
 
     /** Install a VA->PA mapping for one page (addresses page-aligned). */
     void map(Addr va, Addr pa);
@@ -95,7 +96,6 @@ class PageTable
 
   private:
     Asid asid_;
-    std::uint64_t page_size_;
     std::unordered_map<std::uint64_t, Addr> map_; // vpn -> pa of page start
 };
 
@@ -136,8 +136,7 @@ enum class Placement : std::uint8_t {
 class ProcessAddressSpace
 {
   public:
-    ProcessAddressSpace(Asid asid, std::vector<PhysAllocator *> devices,
-                        std::uint64_t page_size = 2 * kMiB);
+    ProcessAddressSpace(Asid asid, std::vector<PhysAllocator *> devices);
 
     /**
      * Allocate @p size bytes of virtual memory backed by physical pages.

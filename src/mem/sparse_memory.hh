@@ -11,16 +11,18 @@
  * offset/frame-number math is mask/shift; accesses that do not cross a
  * frame boundary (virtually all of them — scalar and 32 B vector accesses)
  * take an inline fast path; and a small direct-mapped cache of recently
- * touched frames short-circuits the hash probe for the streaming access
- * patterns NDP kernels generate.
+ * touched frames short-circuits the hash probe for the streaming sweeps of
+ * host set-up and verification. NDP kernels reach their frames through
+ * their units' host TLBs instead.
  *
  * Thread safety (partitioned engine, sim/partition.hh): the frame table
  * is sharded by device window — shard = bits [41:38] of the physical
  * address — so each device partition's executor locks a different shard
- * mutex and the lock is effectively uncontended. The per-stream FrameHint
- * fast path stays entirely lock-free: frames are unique_ptr-held (stable
- * addresses) and only clear() invalidates them, which bumps the atomic
- * generation the hint checks. Ordering of accesses to the *bytes* of a
+ * mutex and the lock is effectively uncontended. Frames are
+ * unique_ptr-held and never freed, so a pointer from framePointer() /
+ * framePointerForWrite() stays valid for the memory's lifetime: the NDP
+ * units' host TLBs (ndp/ndp_unit.hh) cache such pointers and use them
+ * without taking any lock. Ordering of accesses to the *bytes* of a
  * shared frame is the simulation's own responsibility (cross-partition
  * messages synchronize through mailbox mutexes / the round barrier), the
  * same contract as any other cross-partition state.
@@ -29,14 +31,12 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 
-#include "common/annotations.hh"
 #include "common/log.hh"
 #include "common/units.hh"
 
@@ -54,35 +54,6 @@ class SparseMemory
     static_assert(kFrameSize == std::uint64_t(1) << kFrameShift,
                   "frame shift inconsistent with frame size");
 
-    /**
-     * Caller-owned frame-lookup hint: a tiny direct-mapped cache of frame
-     * pointers held *per access stream* (one per NDP unit), consulted
-     * before the shared 8-way cache. Wide sweeps run 32 units' streams
-     * concurrently, which thrash the shared cache (~0.1 miss/instruction);
-     * a private hint keeps each unit's few active frames resident.
-     * Generation-checked so clear() invalidates outstanding hints.
-     *
-     * `last` is a most-recently-used entry checked ahead of the way
-     * array: NDP reference streams are strongly frame-local (a 32 B
-     * vector access stream touches the same 4 KiB frame ~128 times in a
-     * row), so the common case is one compare + one memcpy with no way
-     * indexing at all.
-     */
-    struct FrameHint
-    {
-        static constexpr std::size_t kWays = 4;
-
-        struct Entry
-        {
-            std::uint64_t frame_no = ~std::uint64_t(0);
-            std::uint8_t *data = nullptr;
-        };
-
-        Entry last; ///< MRU, consulted before the ways
-        std::array<Entry, kWays> ways{};
-        std::uint64_t generation = ~std::uint64_t(0);
-    };
-
     void
     read(Addr addr, void *out, std::uint64_t size) const
     {
@@ -98,42 +69,6 @@ class SparseMemory
         readSlow(addr, out, size);
     }
 
-    M2NDP_HOT_PATH
-    void
-    read(Addr addr, void *out, std::uint64_t size, FrameHint &hint) const
-    {
-        std::uint64_t offset = addr & kFrameMask;
-        if (offset + size <= kFrameSize) {
-            std::uint64_t frame_no = addr >> kFrameShift;
-            // Last-frame fast path: the generation check rides along so a
-            // stale hint (clear()) can never satisfy the compare with a
-            // dangling frame pointer.
-            if (hint.last.frame_no == frame_no &&
-                hint.generation == generation()) {
-                std::memcpy(out, hint.last.data + offset, size);
-                return;
-            }
-            auto &way = hintWay(hint, frame_no);
-            if (way.frame_no == frame_no) {
-                hint.last = way;
-                std::memcpy(out, way.data + offset, size);
-                return;
-            }
-            if (Frame *frame = findFrame(frame_no)) {
-                way.frame_no = frame_no;
-                way.data = frame->data();
-                hint.last = way;
-                std::memcpy(out, frame->data() + offset, size);
-            } else {
-                // Absent frames are not cached: a later write may allocate
-                // one, which the hint would never observe.
-                std::memset(out, 0, size);
-            }
-            return;
-        }
-        readSlow(addr, out, size);
-    }
-
     void
     write(Addr addr, const void *in, std::uint64_t size)
     {
@@ -141,34 +76,6 @@ class SparseMemory
         if (offset + size <= kFrameSize) {
             std::memcpy(frameFor(addr >> kFrameShift).data() + offset, in,
                         size);
-            return;
-        }
-        writeSlow(addr, in, size);
-    }
-
-    M2NDP_HOT_PATH
-    void
-    write(Addr addr, const void *in, std::uint64_t size, FrameHint &hint)
-    {
-        std::uint64_t offset = addr & kFrameMask;
-        if (offset + size <= kFrameSize) {
-            std::uint64_t frame_no = addr >> kFrameShift;
-            if (hint.last.frame_no == frame_no &&
-                hint.generation == generation()) {
-                std::memcpy(hint.last.data + offset, in, size);
-                return;
-            }
-            auto &way = hintWay(hint, frame_no);
-            if (way.frame_no == frame_no) {
-                hint.last = way;
-                std::memcpy(way.data + offset, in, size);
-                return;
-            }
-            Frame &frame = frameFor(frame_no);
-            way.frame_no = frame_no;
-            way.data = frame.data();
-            hint.last = way;
-            std::memcpy(frame.data() + offset, in, size);
             return;
         }
         writeSlow(addr, in, size);
@@ -204,17 +111,23 @@ class SparseMemory
         return n;
     }
 
-    /** Drop all contents. Outstanding FrameHints self-invalidate via the
-     *  generation check on their next use. */
-    void
-    clear()
+    /**
+     * Host pointer to the first byte of the frame holding @p addr, or
+     * nullptr if that frame was never written (reads must not allocate).
+     * Frames are never freed, so the pointer stays valid.
+     */
+    std::uint8_t *
+    framePointer(Addr addr) const
     {
-        for (Shard &s : shards_) {
-            std::lock_guard<std::mutex> lk(s.mu);
-            s.frames.clear();
-            s.cache.fill(CacheEntry{});
-        }
-        generation_.fetch_add(1, std::memory_order_relaxed);
+        Frame *frame = findFrame(addr >> kFrameShift);
+        return frame != nullptr ? frame->data() : nullptr;
+    }
+
+    /** framePointer(), allocating a zero-filled frame on first touch. */
+    std::uint8_t *
+    framePointerForWrite(Addr addr)
+    {
+        return frameFor(addr >> kFrameShift).data();
     }
 
   private:
@@ -246,12 +159,6 @@ class SparseMemory
     shardFor(std::uint64_t frame_no) const
     {
         return shards_[(frame_no >> kShardShift) & (kShards - 1)];
-    }
-
-    std::uint64_t
-    generation() const
-    {
-        return generation_.load(std::memory_order_relaxed);
     }
 
     /** Lookup without allocating; nullptr if the frame does not exist. */
@@ -291,24 +198,10 @@ class SparseMemory
         return *e.frame;
     }
 
-    /** Select (and lazily re-validate) the hint way for @p frame_no. */
-    FrameHint::Entry &
-    hintWay(FrameHint &hint, std::uint64_t frame_no) const
-    {
-        std::uint64_t gen = generation();
-        if (hint.generation != gen) {
-            hint.last = FrameHint::Entry{};
-            hint.ways.fill(FrameHint::Entry{});
-            hint.generation = gen;
-        }
-        return hint.ways[frame_no & (FrameHint::kWays - 1)];
-    }
-
     void readSlow(Addr addr, void *out, std::uint64_t size) const;
     void writeSlow(Addr addr, const void *in, std::uint64_t size);
 
     mutable std::array<Shard, kShards> shards_;
-    std::atomic<std::uint64_t> generation_{0};
 };
 
 /** Atomic memory operations executed at the memory-side L2 / scratchpad. */

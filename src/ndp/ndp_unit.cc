@@ -21,7 +21,7 @@ fuIndex(isa::FuType fu)
 NdpUnit::NdpUnit(NdpUnitEnv &env, NdpUnitConfig cfg)
     : env_(env), cfg_(cfg), subcores_(cfg.subcores),
       spad_(cfg.spad_bytes, 0),
-      dtlb_(cfg.dtlb_entries, cfg.dtlb_assoc, env.translationPageSize())
+      dtlb_(cfg.dtlb_entries, cfg.dtlb_assoc, layout::kPageSize)
 {
     M2_ASSERT(cfg_.slots_per_subcore <= ReadySched::kMaxSlots,
               "sub-core slot count exceeds the ready ring width");
@@ -42,11 +42,6 @@ NdpUnit::NdpUnit(NdpUnitEnv &env, NdpUnitConfig cfg)
     // any observed peak so the steady state never grows the vector.
     pending_.reserve(16 * static_cast<std::size_t>(cfg_.subcores) *
                      cfg_.slots_per_subcore);
-    std::uint64_t page = env.translationPageSize();
-    M2_ASSERT(isPowerOfTwo(page), "translation page size must be pow2");
-    page_mask_ = page - 1;
-    page_shift_ = floorLog2(page);
-
     // Reciprocal for the edge math: ceil(2^64 / period). Exact for
     // t < 2^64 / period because the rounding error e = inv*period - 2^64
     // is < period, so the q-error term t*e / 2^64 stays below 1 there.
@@ -55,17 +50,9 @@ NdpUnit::NdpUnit(NdpUnitEnv &env, NdpUnitConfig cfg)
     period_div_limit_ = ~std::uint64_t(0) / cfg_.period;
 }
 
-M2NDP_HOT_PATH
 Addr
-NdpUnit::translateCached(Asid asid, Addr va)
+NdpUnit::translate(Asid asid, Addr va)
 {
-    std::uint64_t vpn = va & ~page_mask_;
-    // Direct-mapped by low page-number bits: streaming kernels touch a
-    // handful of distinct buffers whose pages land in distinct slots.
-    FuncTcacheEntry &e =
-        func_tcache_[(va >> page_shift_) & (kFuncTcacheEntries - 1)];
-    if (e.valid && e.vpn == vpn && e.asid == asid)
-        return e.pa_page + (va & page_mask_);
     auto pa = env_.translateFunctional(asid, va);
     if (!pa) [[unlikely]] {
         // Kernel fault: surfaced as a trap at the issue stage, which
@@ -75,13 +62,26 @@ NdpUnit::translateCached(Asid asid, Addr va)
         ++stats_.traps_unmapped;
         throw KernelTrap{NdpError::UnmappedAddress, va};
     }
-    e.valid = true;
-    e.asid = asid;
-    e.vpn = vpn;
-    // PA of the page start, reconstructed from the in-page offset so we
-    // do not rely on physical pages being size-aligned.
-    e.pa_page = *pa - (va & page_mask_);
     return *pa;
+}
+
+M2NDP_HOT_PATH
+std::uint8_t *
+NdpUnit::hostFrame(Asid asid, Addr va, bool allocate)
+{
+    std::uint64_t vframe = va >> SparseMemory::kFrameShift;
+    // Buffers are 2 MiB-aligned, so same-offset frames of different
+    // buffers differ only above bit 9 of the frame number: fold the page
+    // number in, or they would all share one slot.
+    HostTlbEntry &e =
+        host_tlb_[(vframe ^ (vframe >> 9)) & (kHostTlbEntries - 1)];
+    if (e.vframe == vframe && e.asid == asid)
+        return e.frame;
+    std::uint8_t *frame = env_.funcFrame(
+        translate(asid, va) & ~SparseMemory::kFrameMask, allocate);
+    if (frame != nullptr)
+        e = HostTlbEntry{vframe, asid, frame};
+    return frame;
 }
 
 // --------------------------------------------------------------------------
@@ -99,8 +99,6 @@ NdpUnit::spadPointer(Addr va, unsigned size)
         va + size <= layout::kKernelArgVa + layout::kKernelArgWindow) {
         // Argument window: per-instance buffer (top 256 B of the window).
         std::uint64_t off = va - layout::kKernelArgVa;
-        M2_ASSERT(off + size <= inst->args.size() || true,
-                  "arg window access past declared args");
         // Arg buffer grows to the <= 256 B window once per instance on
         // first touch, then stays.
         if (inst->args.size() < off + size)
@@ -122,6 +120,30 @@ NdpUnit::spadPointer(Addr va, unsigned size)
 }
 
 M2NDP_HOT_PATH
+template <bool kStore>
+void
+NdpUnit::globalAccess(Addr va, GlobalBuf<kStore> buf, unsigned size)
+{
+    M2_ASSERT(current_slot_ != nullptr, "memory access outside step()");
+    const Asid asid = current_slot_->instance->asid;
+    while (size > 0) {
+        std::uint64_t offset = va & SparseMemory::kFrameMask;
+        unsigned chunk = static_cast<unsigned>(std::min<std::uint64_t>(
+            size, SparseMemory::kFrameSize - offset));
+        std::uint8_t *frame = hostFrame(asid, va, kStore);
+        if constexpr (kStore)
+            std::memcpy(frame + offset, buf, chunk);
+        else if (frame != nullptr)
+            std::memcpy(buf, frame + offset, chunk);
+        else
+            std::memset(buf, 0, chunk);
+        va += chunk;
+        buf += chunk;
+        size -= chunk;
+    }
+}
+
+M2NDP_HOT_PATH
 void
 NdpUnit::read(Addr va, void *out, unsigned size)
 {
@@ -129,25 +151,7 @@ NdpUnit::read(Addr va, void *out, unsigned size)
         std::memcpy(out, spadPointer(va, size), size);
         return;
     }
-    M2_ASSERT(current_slot_ != nullptr, "memory access outside step()");
-    const Asid asid = current_slot_->instance->asid;
-    std::uint64_t in_page = (page_mask_ + 1) - (va & page_mask_);
-    if (size <= in_page) {
-        env_.funcRead(translateCached(asid, va), out, size,
-                      frame_hint_);
-        return;
-    }
-    // Page-straddling bulk access (vector fast path): split per page.
-    auto *dst = static_cast<std::uint8_t *>(out);
-    while (size > 0) {
-        unsigned chunk = static_cast<unsigned>(
-            std::min<std::uint64_t>(size, in_page));
-        env_.funcRead(translateCached(asid, va), dst, chunk, frame_hint_);
-        va += chunk;
-        dst += chunk;
-        size -= chunk;
-        in_page = page_mask_ + 1;
-    }
+    globalAccess<false>(va, static_cast<std::uint8_t *>(out), size);
 }
 
 M2NDP_HOT_PATH
@@ -158,25 +162,7 @@ NdpUnit::write(Addr va, const void *in, unsigned size)
         std::memcpy(spadPointer(va, size), in, size);
         return;
     }
-    M2_ASSERT(current_slot_ != nullptr, "memory access outside step()");
-    const Asid asid = current_slot_->instance->asid;
-    std::uint64_t in_page = (page_mask_ + 1) - (va & page_mask_);
-    if (size <= in_page) {
-        env_.funcWrite(translateCached(asid, va), in, size,
-                       frame_hint_);
-        return;
-    }
-    auto *src = static_cast<const std::uint8_t *>(in);
-    while (size > 0) {
-        unsigned chunk = static_cast<unsigned>(
-            std::min<std::uint64_t>(size, in_page));
-        env_.funcWrite(translateCached(asid, va), src, chunk,
-                       frame_hint_);
-        va += chunk;
-        src += chunk;
-        size -= chunk;
-        in_page = page_mask_ + 1;
-    }
+    globalAccess<true>(va, static_cast<const std::uint8_t *>(in), size);
 }
 
 M2NDP_HOT_PATH
@@ -189,9 +175,11 @@ NdpUnit::amo(AmoOp op, Addr va, std::uint64_t operand, unsigned width)
         return amoApply(spadPointer(va, width), op, operand, width);
     }
     M2_ASSERT(current_slot_ != nullptr, "memory access outside step()");
-    return env_.funcAmo(
-        op, translateCached(current_slot_->instance->asid, va), operand,
-        width);
+    // The executor asserts AMO alignment, so the word lies in one frame.
+    std::uint8_t *frame =
+        hostFrame(current_slot_->instance->asid, va, true);
+    return amoApply(frame + (va & SparseMemory::kFrameMask), op, operand,
+                    width);
 }
 
 // --------------------------------------------------------------------------
@@ -650,20 +638,20 @@ NdpUnit::issueGlobalAccess([[maybe_unused]] SubCore &sc, Slot &slot,
     // Translation timing: D-TLB hit is free; miss costs one DRAM-TLB read
     // (a 16 B DRAM access); a cold DRAM-TLB entry costs an ATS round trip.
     Tick ats_delay = 0;
-    bool need_dram_tlb = false;
-    if (!dtlb_.lookup(asid, ref.va)) {
-        need_dram_tlb = true;
+    Addr pa;
+    const std::optional<Addr> pa_page = dtlb_.lookup(asid, ref.va);
+    const bool need_dram_tlb = !pa_page;
+    if (pa_page) {
+        pa = *pa_page + (ref.va & (layout::kPageSize - 1));
+    } else {
         if (!env_.dramTlbWarm(asid, ref.va)) {
             ats_delay = cfg_.ats_latency;
             env_.dramTlbRefill(asid, ref.va);
         }
-    }
-
-    Addr pa = translateCached(asid, ref.va);
-    if (need_dram_tlb) {
+        pa = translate(asid, ref.va);
         // Fixed-geometry TLB fill, no allocation.
         // ndp-lint: allow(hotpath-alloc)
-        dtlb_.insert(asid, ref.va, pa & ~page_mask_);
+        dtlb_.insert(asid, ref.va, pa & ~(layout::kPageSize - 1));
     }
 
     // Classify: within a blocking instruction, a store ref is an atomic

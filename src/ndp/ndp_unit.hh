@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hh"
@@ -151,35 +152,18 @@ class NdpUnitEnv
     /** Functional VA translation (nullopt = unmapped: kernel fault). */
     virtual std::optional<Addr> translateFunctional(Asid asid, Addr va) = 0;
 
-    /** Functional physical-memory access (routes P2P if needed). */
-    virtual void funcRead(Addr pa, void *out, unsigned size) = 0;
-    virtual void funcWrite(Addr pa, const void *in, unsigned size) = 0;
-
     /**
-     * Hinted variants for per-unit access streams: @p hint is a caller-
-     * owned frame-lookup cache consulted before the shared one (wide
-     * sweeps thrash the shared cache across 32 units). Defaults forward
-     * to the unhinted path.
+     * Host pointer to the functional-memory frame holding @p pa, which
+     * stays valid for the simulation's lifetime. With @p allocate false a
+     * never-written frame yields nullptr (it reads as zeros); with it
+     * true such a frame is allocated zero-filled.
      */
-    virtual void
-    funcRead(Addr pa, void *out, unsigned size, SparseMemory::FrameHint &)
-    {
-        funcRead(pa, out, size);
-    }
-    virtual void
-    funcWrite(Addr pa, const void *in, unsigned size,
-              SparseMemory::FrameHint &)
-    {
-        funcWrite(pa, in, size);
-    }
-    virtual std::uint64_t funcAmo(AmoOp op, Addr pa, std::uint64_t operand,
-                                  unsigned width) = 0;
+    virtual std::uint8_t *funcFrame(Addr pa, bool allocate) = 0;
 
     /** DRAM-TLB support (Section III-H). */
     virtual Addr dramTlbEntryPa(Asid asid, Addr va) = 0;
     virtual bool dramTlbWarm(Asid asid, Addr va) = 0;
     virtual void dramTlbRefill(Asid asid, Addr va) = 0;
-    virtual std::uint64_t translationPageSize() = 0;
 
     /**
      * Request that this unit's `tick()` runs at cycle edge @p at (>= now).
@@ -273,8 +257,7 @@ class NdpUnit : public isa::MemoryIf
     shootdownTlb(Asid asid, Addr va)
     {
         dtlb_.shootdown(asid, va);
-        for (auto &e : func_tcache_)
-            e.valid = false;
+        host_tlb_.fill(HostTlbEntry{});
     }
 
     /** Scratchpad backing store (per unit; shared by all uthreads, A3). */
@@ -438,15 +421,26 @@ class NdpUnit : public isa::MemoryIf
     /** Functional scratchpad/arg-window routing helpers. */
     std::uint8_t *spadPointer(Addr va, unsigned size);
 
+    /** Page-table VA->PA translation. Throws KernelTrap on unmapped VAs
+     *  (caught at the issue stage; the instance is killed with
+     *  NdpError::UnmappedAddress). */
+    Addr translate(Asid asid, Addr va);
+
     /**
-     * Functional VA->PA translation with a one-entry last-page cache:
-     * translation runs per element on the functional path *and* per sector
-     * on the timing path, and both are strongly page-local. Invalidated on
-     * TLB shootdown (page unmap must be accompanied by a shootdown,
-     * Table II). Throws KernelTrap on unmapped VAs (caught at the issue
-     * stage; the instance is killed with NdpError::UnmappedAddress).
+     * Host pointer to the functional frame behind @p va, through the host
+     * TLB. Returns nullptr only for a read (@p allocate false) of a
+     * never-written frame; that frame is not cached, so a later host
+     * write to it is seen by the next kernel access.
      */
-    Addr translateCached(Asid asid, Addr va);
+    std::uint8_t *hostFrame(Asid asid, Addr va, bool allocate);
+
+    /** Functional global-memory load or store (@p kStore), split at
+     *  host-frame boundaries. */
+    template <bool kStore>
+    using GlobalBuf =
+        std::conditional_t<kStore, const std::uint8_t *, std::uint8_t *>;
+    template <bool kStore>
+    void globalAccess(Addr va, GlobalBuf<kStore> buf, unsigned size);
 
     NdpUnitEnv &env_;
     NdpUnitConfig cfg_;
@@ -455,24 +449,22 @@ class NdpUnit : public isa::MemoryIf
     Tlb dtlb_;
 
     /**
-     * Small direct-mapped functional translation cache (see
-     * translateCached). A few entries instead of one: kernels commonly
-     * stream from 2-3 distinct buffers (distinct pages) per iteration,
-     * which would thrash a single entry every access.
+     * Host TLB (the QEMU softmmu idiom): a direct-mapped table from a
+     * 4 KiB VA frame to the host bytes of its functional-memory frame,
+     * so a functional access that hits costs one compare and a memcpy.
+     * It is functional-only; the timing-visible translation is dtlb_.
+     * Page shootdowns flush it (shootdownTlb).
      */
-    struct FuncTcacheEntry
+    struct HostTlbEntry
     {
-        bool valid = false;
+        std::uint64_t vframe = ~std::uint64_t(0);
         Asid asid = 0;
-        std::uint64_t vpn = 0;
-        Addr pa_page = 0;
+        std::uint8_t *frame = nullptr;
     };
-    static constexpr unsigned kFuncTcacheEntries = 8;
-    std::array<FuncTcacheEntry, kFuncTcacheEntries> func_tcache_;
-    /** Per-unit frame-lookup hint for the functional memory path. */
-    SparseMemory::FrameHint frame_hint_;
-    std::uint64_t page_mask_ = 0; ///< translationPageSize() - 1
-    unsigned page_shift_ = 0;     ///< log2(translationPageSize())
+    static constexpr unsigned kHostTlbEntries = 256;
+    static_assert(layout::kPageSize >= SparseMemory::kFrameSize,
+                  "a VA frame must lie in one page to map to one host frame");
+    std::array<HostTlbEntry, kHostTlbEntries> host_tlb_{};
     /** ceil(2^64 / period) and the tick bound below which the reciprocal
      *  multiply computes t / period exactly (see edgeAtOrAfter). */
     std::uint64_t period_inv_ = 0;

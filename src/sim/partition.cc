@@ -95,7 +95,7 @@ SimDomain::runDeviceWindows(Tick cap)
         std::lock_guard<std::mutex> g(pool_mu_);
         cap_ = cap;
         done_ = 0;
-        ++generation_;
+        ++window_seq_;
     }
     cv_work_.notify_all();
     std::uint64_t executed = runExecutor(0, cap);
@@ -117,10 +117,10 @@ SimDomain::workerMain(unsigned ex)
         {
             std::unique_lock<std::mutex> g(pool_mu_);
             cv_work_.wait(g,
-                          [&] { return quit_ || generation_ != seen; });
+                          [&] { return quit_ || window_seq_ != seen; });
             if (quit_)
                 return;
-            seen = generation_;
+            seen = window_seq_;
             cap = cap_;
         }
         std::uint64_t executed = runExecutor(ex, cap);

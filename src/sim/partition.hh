@@ -197,11 +197,11 @@ class SimDomain : public SimDriver
     unsigned dev_cursor_ = 1;  ///< serial single-step scan position
     bool devices_done_ = false;
 
-    // Worker pool: generation-counted barrier.
+    // Worker pool: barrier counted by window sequence number.
     std::mutex pool_mu_;
     std::condition_variable cv_work_;
     std::condition_variable cv_done_;
-    std::uint64_t generation_ = 0;
+    std::uint64_t window_seq_ = 0;
     unsigned done_ = 0;
     Tick cap_ = 0;
     bool quit_ = false;

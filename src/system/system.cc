@@ -159,7 +159,7 @@ System::writeVirtual(const ProcessAddressSpace &process, Addr va,
                      const void *data, std::uint64_t size)
 {
     const auto *bytes = static_cast<const std::uint8_t *>(data);
-    std::uint64_t page = process.pageTable().pageSize();
+    const std::uint64_t page = layout::kPageSize;
     while (size > 0) {
         auto pa = process.translate(va);
         M2_ASSERT(pa.has_value(), "writeVirtual: unmapped VA ", va);
@@ -177,7 +177,7 @@ System::readVirtual(const ProcessAddressSpace &process, Addr va, void *out,
                     std::uint64_t size) const
 {
     auto *bytes = static_cast<std::uint8_t *>(out);
-    std::uint64_t page = process.pageTable().pageSize();
+    const std::uint64_t page = layout::kPageSize;
     while (size > 0) {
         auto pa = process.translate(va);
         M2_ASSERT(pa.has_value(), "readVirtual: unmapped VA ", va);

@@ -342,7 +342,58 @@ KvstoreWorkload::runHostBaseline(HostCxlPort &port)
     unsigned next_req = 0;
     unsigned in_flight = 0;
 
-    std::function<void()> launch_next = [&]() {
+    // Per-request chain-walk state, sized once: the dependent-read
+    // callbacks carry a pointer into it rather than owning the walk.
+    struct Walk
+    {
+        Addr node_pa;
+        Addr bucket_pa;
+        Tick t0;
+        std::uint64_t rank;
+        unsigned hops;
+        bool is_get;
+    };
+    std::vector<Walk> walks(trace.size());
+
+    std::function<void()> launch_next;
+    auto finish = [&](const Walk &w, Tick t_end) {
+        result.latency_ns.add(static_cast<double>(t_end - w.t0) / kNs);
+        first = std::min(first, w.t0);
+        last = std::max(last, t_end);
+        ++completed;
+        --in_flight;
+        launch_next();
+    };
+
+    // Chain of dependent reads (bucket head, then per-node keys), then
+    // the 64 B value read/write; @p remaining counts the reads left.
+    std::function<void(const Walk &, unsigned)> step =
+        [&](const Walk &w, unsigned remaining) {
+            if (remaining == 0) {
+                if (w.is_get) {
+                    port.readAsync(w.node_pa + kValueOff, 64,
+                                   [&finish, &w](Tick t) { finish(w, t); });
+                } else {
+                    // Same updated-value pattern the NDP SET writes, so
+                    // later runs over the same table still verify.
+                    std::uint8_t val[64];
+                    std::uint64_t v1 = valuePattern(w.rank, 1);
+                    for (unsigned i = 0; i < 8; ++i) {
+                        std::uint64_t word = v1 + i;
+                        std::memcpy(val + i * 8, &word, 8);
+                    }
+                    port.writeAsync(w.node_pa + kValueOff, val, 64,
+                                    [&finish, &w](Tick t) { finish(w, t); });
+                }
+                return;
+            }
+            Addr a = remaining == w.hops ? w.bucket_pa : w.node_pa + kKeyOff;
+            port.readAsync(a, 32, [&step, &w, remaining](Tick) {
+                step(w, remaining - 1);
+            });
+        };
+
+    launch_next = [&]() {
         while (next_req < trace.size() &&
                (cfg_.arrival_rate > 0.0 || in_flight < kClosedLoopWindow)) {
             const Request &req = trace[next_req];
@@ -351,61 +402,15 @@ KvstoreWorkload::runHostBaseline(HostCxlPort &port)
                 eq.schedule(arrival, [&] { launch_next(); });
                 return;
             }
-            ++next_req;
+            Walk &w = walks[next_req++];
             ++in_flight;
-            Tick t0 = std::max(eq.now(), arrival);
-            std::uint64_t rank = req.key_rank;
-            bool is_get = req.is_get;
-
-            // The chain walk: bucket head read, then per-node key reads
-            // (dependent), then the value access.
-            unsigned hops = static_cast<unsigned>(chain_depth_[rank]) + 1;
-            Addr node = nodes_va_ + rank * kNodeBytes;
-            Addr node_pa = *proc_.translate(node);
-            Addr bucket_pa = *proc_.translate(bucketAddr(keyHash(rank)));
-
-            auto finish = [&, t0](Tick t_end) {
-                result.latency_ns.add(static_cast<double>(t_end - t0) /
-                                      kNs);
-                first = std::min(first, t0);
-                last = std::max(last, t_end);
-                ++completed;
-                --in_flight;
-                launch_next();
-            };
-
-            // Chain of dependent reads, then the 64 B value read/write.
-            std::shared_ptr<std::function<void(unsigned)>> step =
-                std::make_shared<std::function<void(unsigned)>>();
-            *step = [&, node_pa, bucket_pa, hops, is_get, rank, finish,
-                     step](unsigned remaining) {
-                if (remaining == 0) {
-                    if (is_get) {
-                        port.readAsync(node_pa + kValueOff, 64,
-                                       [finish](Tick t) { finish(t); });
-                    } else {
-                        // Same updated-value pattern the NDP SET writes,
-                        // so later runs over the same table still verify.
-                        std::uint8_t val[64];
-                        std::uint64_t v1 = valuePattern(rank, 1);
-                        for (unsigned w = 0; w < 8; ++w) {
-                            std::uint64_t word = v1 + w;
-                            std::memcpy(val + w * 8, &word, 8);
-                        }
-                        port.writeAsync(node_pa + kValueOff, val, 64,
-                                        [finish](Tick t) { finish(t); });
-                    }
-                    return;
-                }
-                Addr a = remaining == hops ? bucket_pa : node_pa + kKeyOff;
-                port.readAsync(a, 32, [step, remaining](Tick) {
-                    (*step)(remaining - 1);
-                });
-            };
-            eq.schedule(t0 + kHashCost,
-                        [step, hops] { (*step)(hops); });
-            if (cfg_.arrival_rate > 0.0)
-                continue;
+            w.t0 = std::max(eq.now(), arrival);
+            w.rank = req.key_rank;
+            w.is_get = req.is_get;
+            w.hops = static_cast<unsigned>(chain_depth_[w.rank]) + 1;
+            w.node_pa = *proc_.translate(nodes_va_ + w.rank * kNodeBytes);
+            w.bucket_pa = *proc_.translate(bucketAddr(keyHash(w.rank)));
+            eq.schedule(w.t0 + kHashCost, [&step, &w] { step(w, w.hops); });
         }
     };
 

@@ -5,6 +5,8 @@
  * assembly kernels and the Table II user-level API.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "system/system.hh"
@@ -422,6 +424,122 @@ TEST_F(IntegrationTest, TlbShootdownPath)
     EXPECT_EQ(runtime->shootdownTlbEntry(process->asid(),
                                          layout::kHeapVaBase),
               0);
+}
+
+// ---------------------------------------------------------------------
+// Host TLB (NdpUnit): each unit caches VA frame -> host frame pointers
+// for the functional path. These pin its invalidation contract.
+// ---------------------------------------------------------------------
+
+TEST_F(IntegrationTest, HostTlbSeesRemapAfterShootdown)
+{
+    constexpr unsigned kN = 1024; // one 4 KiB frame per array
+    Addr a = process->allocate(kN * 4);
+    Addr b = process->allocate(kN * 4);
+    Addr c = process->allocate(kN * 4);
+    Addr spare = process->allocate(kN * 4);
+    std::vector<std::uint32_t> ones(kN, 1), tens(kN, 10), hundreds(kN, 100);
+    sys->writeVirtual(*process, a, ones.data(), kN * 4);
+    sys->writeVirtual(*process, b, tens.data(), kN * 4);
+    sys->writeVirtual(*process, spare, hundreds.data(), kN * 4);
+
+    KernelResources res;
+    res.num_int_regs = 8;
+    res.num_vector_regs = 4;
+    std::int64_t kid = runtime->registerKernel(kVecAddKernel, res);
+    ASSERT_GT(kid, 0);
+    std::vector<std::uint32_t> out(kN);
+
+    ASSERT_GT(runtime->launchKernelSync(launchWith(kid, a, a + kN * 4,
+                                                   {b, c})),
+              0);
+    sys->readVirtual(*process, c, out.data(), kN * 4);
+    ASSERT_EQ(out, std::vector<std::uint32_t>(kN, 11));
+
+    // Move b's page onto the spare buffer's physical page. Every unit
+    // has b's old frame cached; the shootdown must drop it.
+    Addr spare_pa = *process->translate(spare);
+    ASSERT_TRUE(process->pageTable().unmap(b));
+    process->pageTable().map(b, spare_pa);
+    ASSERT_EQ(runtime->shootdownTlbEntry(process->asid(), b), 0);
+
+    ASSERT_GT(runtime->launchKernelSync(launchWith(kid, a, a + kN * 4,
+                                                   {b, c})),
+              0);
+    sys->readVirtual(*process, c, out.data(), kN * 4);
+    EXPECT_EQ(out, std::vector<std::uint32_t>(kN, 101));
+}
+
+TEST_F(IntegrationTest, HostTlbReadOfUnwrittenFrameIsZeroAndNotCached)
+{
+    constexpr unsigned kN = 2048; // int64 elements: 16 KiB, four frames
+    Addr warm = process->allocate(kN * 8);
+    Addr data = process->allocate(kN * 8);
+    Addr result = process->allocate(64);
+    std::vector<std::int64_t> ones(kN, 1);
+    sys->writeVirtual(*process, warm, ones.data(), kN * 8);
+    sys->writeVirtual<std::int64_t>(*process, result, 0);
+
+    KernelResources res;
+    res.num_int_regs = 8;
+    res.num_vector_regs = 4;
+    res.scratchpad_bytes = 64;
+    std::int64_t kid = runtime->registerKernel(kReduceKernel, res);
+    ASSERT_GT(kid, 0);
+    auto reduce = [&](Addr base) {
+        sys->writeVirtual<std::int64_t>(*process, result, 0);
+        EXPECT_GT(runtime->launchKernelSync(
+                      launchWith(kid, base, base + kN * 8, {result})),
+                  0);
+        return sys->readVirtual<std::int64_t>(*process, result);
+    };
+
+    // The first launch touches the runtime's own launch frames.
+    ASSERT_EQ(reduce(warm), static_cast<std::int64_t>(kN));
+
+    // `data` was never written: kernels read zeros without allocating.
+    std::size_t frames = sys->mem().framesAllocated();
+    EXPECT_EQ(reduce(data), 0);
+    EXPECT_EQ(sys->mem().framesAllocated(), frames);
+
+    // A host write to those frames is seen by the next kernel read.
+    sys->writeVirtual(*process, data, ones.data(), kN * 8);
+    EXPECT_EQ(reduce(data), static_cast<std::int64_t>(kN));
+}
+
+TEST_F(IntegrationTest, VectorAccessStraddlingFrameBoundary)
+{
+    // b and c are offset by 16 B, so every 4 KiB frame boundary of theirs
+    // splits one 32 B vector load (b) and one vector store (c) in half.
+    constexpr unsigned kN = 4096;
+    constexpr Addr kSkew = 16;
+    Addr a = process->allocate(kN * 4);
+    Addr b = process->allocate(kN * 4 + kSkew);
+    Addr c = process->allocate(kN * 4 + kSkew);
+    std::vector<std::uint32_t> va(kN), vb(kN);
+    for (unsigned i = 0; i < kN; ++i) {
+        va[i] = i;
+        vb[i] = 3 * i + 7;
+    }
+    sys->writeVirtual(*process, a, va.data(), kN * 4);
+    sys->writeVirtual(*process, b + kSkew, vb.data(), kN * 4);
+
+    KernelResources res;
+    res.num_int_regs = 8;
+    res.num_vector_regs = 4;
+    std::int64_t kid = runtime->registerKernel(kVecAddKernel, res);
+    ASSERT_GT(kid, 0);
+    ASSERT_GT(runtime->launchKernelSync(launchWith(
+                  kid, a, a + kN * 4, {b + kSkew, c + kSkew})),
+              0);
+
+    std::vector<std::uint32_t> vc(kN);
+    sys->readVirtual(*process, c + kSkew, vc.data(), kN * 4);
+    for (unsigned i = 0; i < kN; ++i)
+        ASSERT_EQ(vc[i], va[i] + vb[i]) << "at index " << i;
+    std::uint8_t head[kSkew];
+    sys->readVirtual(*process, c, head, kSkew);
+    EXPECT_EQ(std::count(head, head + kSkew, 0), static_cast<long>(kSkew));
 }
 
 // ---------------------------------------------------------------------
