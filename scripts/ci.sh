@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # One-command CI gate: configure + build (warnings are errors, including
-# -Wextra/-Wshadow), the ndp-lint static-analysis pass (tools/ndp_lint,
+# -Wextra/-Wshadow), a build of the perfbench benchmark driver (so a
+# public-header change that breaks it fails here), the ndp-lint
+# static-analysis pass (tools/ndp_lint,
 # driven by the exported compile_commands.json), ctest, the
 # benchmark-regression gate, then a sanitizer smoke pass
 # (-DSANITIZE=address,undefined) over the
-# stream-API tests, the fault suite, the key-value store workloads and the
-# full-stack quickstart example, and a
+# stream-API tests, the fault suite, the memory-system suite, the
+# key-value store workloads and the full-stack quickstart example, and a
 # ThreadSanitizer smoke pass over the multithreaded partitioned-engine
 # tests plus the open-loop overload harness (-DSANITIZE=thread,
 # M2NDP_THREADS=2).
@@ -15,7 +17,9 @@
 #   --no-bench     skip the bench/run_bench.sh perf gate
 #
 # Environment:
-#   BUILD_DIR           main build tree     (default: <repo>/build)
+#   BUILD_DIR           main build tree     (default: <repo>/build;
+#                       the perfbench driver builds in its
+#                       perfbench-driver/ subdirectory)
 #   SANITIZE_BUILD_DIR  sanitizer tree      (default: <repo>/build-sanitize)
 #   TSAN_BUILD_DIR      TSan tree           (default: <repo>/build-tsan)
 set -euo pipefail
@@ -40,6 +44,11 @@ jobs="$(nproc 2> /dev/null || echo 4)"
 echo "==> configure + build ($build_dir, warnings are errors)"
 cmake -B "$build_dir" -S "$repo_root" -DWERROR=ON
 cmake --build "$build_dir" -j "$jobs"
+
+echo "==> perfbench driver build ($build_dir/perfbench-driver)"
+cmake -S "$repo_root/perfbench" -B "$build_dir/perfbench-driver" \
+    -DCMAKE_BUILD_TYPE=Release
+cmake --build "$build_dir/perfbench-driver" -j "$jobs" --target perfbench
 
 echo "==> ndp-lint (fixtures + src over compile_commands.json)"
 python3 "$repo_root/tools/ndp_lint/check_lint.py" fixtures
@@ -69,7 +78,10 @@ if [[ "$run_sanitize" == 1 ]]; then
         # kernel traps, watchdog kills, device loss) under ASan/UBSan
         # shakes out lifetime bugs on the error paths.
         cmake --build "$san_dir" -j "$jobs" --target test_faults
-        smoke_filter='test_runtime_api|test_faults|smoke_quickstart'
+        # Memory-system suite: the MemPort test fakes and the 3-deep
+        # hop stack (L1 fill, response crossbar, L2 fill).
+        cmake --build "$san_dir" -j "$jobs" --target test_memory_system
+        smoke_filter='test_runtime_api|test_faults|test_memory_system|smoke_quickstart'
     else
         echo "note: GTest unavailable; sanitizer smoke covers quickstart only"
         smoke_filter='smoke_quickstart'

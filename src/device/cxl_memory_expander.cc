@@ -8,54 +8,6 @@
 
 namespace m2ndp {
 
-// Temporary path-latency breakdown instrumentation (debug builds of tools).
-thread_local PathDebugCounters g_path_debug;
-
-namespace {
-
-/** Hop frame: DRAM-leg path-debug accounting (a = arrival tick). */
-Tick
-dramDebugHop(MemPacket &, Tick t, void *, std::uint64_t a, std::uint64_t)
-{
-    g_path_debug.dram += t - static_cast<Tick>(a);
-    ++g_path_debug.ndram;
-    return t;
-}
-
-} // namespace
-
-/** MemPort adapter feeding the shared DRAM device from the L2 slices. */
-class CxlMemoryExpander::DramPort : public MemPort
-{
-  public:
-    explicit DramPort(CxlMemoryExpander &dev) : dev_(dev) {}
-
-    void
-    receive(MemPacketPtr pkt) override
-    {
-        receiveAt(std::move(pkt), dev_.eq_.now());
-    }
-
-    void
-    receiveAt(MemPacketPtr pkt, Tick at) override
-    {
-        // Atomics that miss in L2 fetch their sector like reads.
-        if (pkt->op == MemOp::Atomic)
-            pkt->op = MemOp::Read;
-        g_path_debug.l2 += at - pkt->issued_at;
-        // Posted traffic (writebacks, drained write-through stores)
-        // carries neither frames nor a callback; skipping the debug frame
-        // keeps the DRAM recycle fast path (no parked completion) intact.
-        if (pkt->onComplete || pkt->num_hops > 0)
-            pkt->pushHop(&dramDebugHop, nullptr,
-                         static_cast<std::uint64_t>(at), 0);
-        dev_.dram_->receiveAt(std::move(pkt), at);
-    }
-
-  private:
-    CxlMemoryExpander &dev_;
-};
-
 /** Routes L1D misses from unit @p unit over the NoC to the L2 slices and
  *  books the response crossbar on the way back. */
 class CxlMemoryExpander::UnitPort : public MemPort
@@ -64,15 +16,8 @@ class CxlMemoryExpander::UnitPort : public MemPort
     UnitPort(CxlMemoryExpander &dev, unsigned unit) : dev_(dev), unit_(unit) {}
 
     void
-    receive(MemPacketPtr pkt) override
+    receive(MemPacketPtr pkt, Tick at) override
     {
-        receiveAt(std::move(pkt), dev_.eq_.now());
-    }
-
-    void
-    receiveAt(MemPacketPtr pkt, Tick at) override
-    {
-        g_path_debug.l1 += at - pkt->issued_at;
         // Fused response delivery: the return crossbar hop rides as a
         // hop frame on the packet itself and is booked as a latency term
         // (per-port next-free bookkeeping models arbitration) when the
@@ -83,26 +28,20 @@ class CxlMemoryExpander::UnitPort : public MemPort
         pkt->pushHop(&UnitPort::respHop, &dev_,
                      std::uint64_t(unit_) |
                          (std::uint64_t(pkt->size) << 32),
-                     static_cast<std::uint64_t>(at));
+                     0);
         dev_.localMemPacket(std::move(pkt), at);
     }
 
   private:
     /** Hop frame: response crossbar back to the unit (a = unit |
-     *  bytes<<32, b = the request's crossbar arrival tick, for the
-     *  path-debug split). */
+     *  bytes<<32). */
     static Tick
-    respHop(MemPacket &, Tick t, void *ctx, std::uint64_t a,
-            std::uint64_t b)
+    respHop(MemPacket &, Tick t, void *ctx, std::uint64_t a, std::uint64_t)
     {
         auto *dev = static_cast<CxlMemoryExpander *>(ctx);
         const unsigned unit = static_cast<unsigned>(a & 0xffffffffu);
         const std::uint32_t bytes = static_cast<std::uint32_t>(a >> 32);
-        g_path_debug.device += t - static_cast<Tick>(b);
-        Tick resp = dev->resp_xbar_->send(unit, bytes, t, t ^ unit);
-        g_path_debug.resp += resp - t;
-        ++g_path_debug.n;
-        return resp;
+        return dev->resp_xbar_->send(unit, bytes, t, t ^ unit);
     }
 
     CxlMemoryExpander &dev_;
@@ -143,7 +82,6 @@ CxlMemoryExpander::CxlMemoryExpander(EventQueue &eq, SparseMemory &global_mem,
     dram_ = std::make_unique<DramDevice>(eq_, cfg_.dram, cfg_.dram_channels,
                                          cfg_.interleave_bytes,
                                          cfg_.unit.period);
-    dram_port_ = std::make_unique<DramPort>(*this);
 
     for (unsigned c = 0; c < cfg_.dram_channels; ++c) {
         CacheConfig l2;
@@ -158,7 +96,7 @@ CxlMemoryExpander::CxlMemoryExpander(EventQueue &eq, SparseMemory &global_mem,
         l2.write_allocate = true;
         l2.atomics_local = true; // global atomics execute here (III-F)
         l2.mshrs = 160;
-        l2_slices_.push_back(std::make_unique<Cache>(eq_, l2, *dram_port_));
+        l2_slices_.push_back(std::make_unique<Cache>(eq_, l2, *dram_));
     }
 
     CrossbarConfig req = cfg_.noc;
@@ -206,15 +144,6 @@ CxlMemoryExpander::~CxlMemoryExpander() = default;
 // Memory path
 // --------------------------------------------------------------------------
 
-void
-CxlMemoryExpander::localMemAccess(MemOp op, Addr pa, std::uint32_t size,
-                                  MemSource source, Tick at,
-                                  TickCallback done)
-{
-    localMemPacket(makePacket(op, pa, size, source, at, std::move(done)),
-                   at);
-}
-
 M2NDP_HOT_PATH
 void
 CxlMemoryExpander::localMemPacket(MemPacketPtr pkt, Tick at)
@@ -251,7 +180,7 @@ CxlMemoryExpander::localMemPacket(MemPacketPtr pkt, Tick at)
     // conservative, and per-slice load is low enough (hashed channel
     // interleaving) that the approximation does not move contention.
     pkt->addr = local;
-    l2_slices_[channel]->receiveAt(std::move(pkt), arrival);
+    l2_slices_[channel]->receive(std::move(pkt), arrival);
 }
 
 void
@@ -339,7 +268,8 @@ CxlMemoryExpander::unitMemAccess(unsigned unit, MemOp op, Addr pa,
     auto launch = [this, unit, op, pa, size,
                    done = std::move(done)]() mutable {
         l1d_[unit]->receive(makePacket(op, pa, size, MemSource::NdpUnit,
-                                       eq_.now(), std::move(done)));
+                                       eq_.now(), std::move(done)),
+                            eq_.now());
     };
     if (bi_delay > 0)
         eq_.scheduleAfter(bi_delay, std::move(launch));
@@ -543,8 +473,6 @@ M2NDP_HOT_PATH
 bool
 CxlMemoryExpander::dramTlbWarm(Asid asid, Addr va)
 {
-    if (!cfg_.dram_tlb_warm)
-        return false;
     return dram_tlb_->contains(asid, va);
 }
 

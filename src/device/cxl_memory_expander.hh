@@ -82,27 +82,7 @@ struct DeviceConfig
     unsigned media_links = 1;
     double media_link_gbps = 64.0;
     Tick media_link_latency = 35 * kNs;
-
-    // DRAM-TLB steady-state warmth (Section III-H).
-    bool dram_tlb_warm = true;
 };
-
-/**
- * Temporary path-latency breakdown (for debugging tools). Thread-local:
- * each device partition's executor accumulates into its own copy, so the
- * hot-path increments stay race-free under partitioned simulation.
- */
-struct PathDebugCounters
-{
-    std::uint64_t n = 0;
-    std::uint64_t l1 = 0;
-    std::uint64_t device = 0;
-    std::uint64_t resp = 0;
-    std::uint64_t l2 = 0;
-    std::uint64_t dram = 0;
-    std::uint64_t ndram = 0;
-};
-extern thread_local PathDebugCounters g_path_debug;
 
 /** Device statistics snapshot. */
 struct DeviceStats
@@ -241,18 +221,12 @@ class CxlMemoryExpander : public NdpUnitEnv, public NdpControllerEnv
     /**
      * Timing access into this device's own memory path, logically issued
      * at @p at (>= now; fused upstream stages issue from their completion
-     * tick). @p done follows the fused delivery convention: it may run
-     * before sim-time reaches its tick argument.
-     */
-    void localMemAccess(MemOp op, Addr pa, std::uint32_t size,
-                        MemSource source, Tick at, TickCallback done);
-
-    /**
-     * Single-packet form of localMemAccess: route @p pkt (addressed with
-     * a global PA inside this device's window) over the request crossbar
-     * to its L2 slice, re-stamping the address device-local in place. The
-     * packet keeps whatever hop frames and completion callback it already
-     * carries — an L1 miss rides through here unchanged.
+     * tick): route @p pkt (addressed with a global PA inside this
+     * device's window) over the request crossbar to its L2 slice,
+     * re-stamping the address device-local in place. The packet keeps
+     * whatever hop frames and completion callback it already carries —
+     * an L1 miss rides through here unchanged — and completes per the
+     * MemPort fused-delivery convention.
      */
     void localMemPacket(MemPacketPtr pkt, Tick at);
 
@@ -295,10 +269,6 @@ class CxlMemoryExpander : public NdpUnitEnv, public NdpControllerEnv
     std::unique_ptr<NdpController> controller_;
     std::vector<std::unique_ptr<NdpUnit>> units_;
     std::unique_ptr<DramTlb> dram_tlb_;
-
-    /** Adapters so each L2 slice can feed the shared DRAM device. */
-    class DramPort;
-    std::unique_ptr<DramPort> dram_port_;
 
     /** Per-unit L1D caches (write-through, Section III-F) and the adapters
      *  routing their misses over the request crossbar to the L2 slices. */

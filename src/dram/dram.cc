@@ -201,14 +201,11 @@ DramDevice::~DramDevice()
 }
 
 void
-DramDevice::receive(MemPacketPtr pkt)
+DramDevice::receive(MemPacketPtr pkt, Tick at)
 {
-    receiveAt(std::move(pkt), eq_.now());
-}
-
-void
-DramDevice::receiveAt(MemPacketPtr pkt, Tick at)
-{
+    // Atomics execute in the cache above (L2 slices run atomics_local,
+    // so an Atomic miss arrives here re-stamped as a sector Read).
+    M2_ASSERT(pkt->op != MemOp::Atomic, "atomic reached DRAM");
     auto coords = map_.decode(pkt->addr);
     Tick done = channels_[coords.channel]->book(*pkt, coords.bank,
                                                 coords.row, at);
@@ -234,7 +231,7 @@ DramDevice::completeReady()
 {
     const Tick now = eq_.now();
     // Pop due entries in (when, seq) order: deterministic, time-ordered.
-    // Completion callbacks can re-enter receiveAt() (upstream fill ->
+    // Completion callbacks can re-enter receive() (upstream fill ->
     // retry -> new booking), so re-check the heap top each iteration.
     while (!ready_.empty() && ready_.front().when <= now) {
         std::pop_heap(ready_.begin(), ready_.end(), readyAfter);

@@ -61,14 +61,12 @@ class HostCxlPort
      * @param link  the CXL.mem link to the device
      * @param dev   the device (its own queue runs the device-side stages)
      * @param cfg   host-side cost model
-     * @param domain  partition coordinator for cross-partition posts;
-     *                nullptr collapses to single-queue direct scheduling
-     *                (raw benches, unit tests)
+     * @param domain  partition coordinator for cross-partition posts
      * @param device_partition  the device's partition id in @p domain
      */
     HostCxlPort(EventQueue &eq, CxlLink &link, CxlMemoryExpander &dev,
-                HostPortConfig cfg = {}, SimDomain *domain = nullptr,
-                unsigned device_partition = 0);
+                HostPortConfig cfg, SimDomain &domain,
+                unsigned device_partition);
     ~HostCxlPort();
 
     HostCxlPort(const HostCxlPort &) = delete;
@@ -126,13 +124,12 @@ class HostCxlPort
      * work onto the device partition (from the host side) or back onto
      * the host partition (from device-side completion hooks) at absolute
      * tick @p when. @p when must respect the conservative-lookahead
-     * contract (at least one link one-way past the sender's clock);
-     * collapses to direct scheduling when the simulation is unsharded.
+     * contract (at least one link one-way past the sender's clock).
      */
     void postToDeviceAt(Tick when, EventCallback cb);
     void postToHostAt(Tick when, EventCallback cb);
 
-    /** The device partition's queue (== eventQueue() unsharded). */
+    /** The device partition's queue. */
     EventQueue &deviceQueue() { return dev_eq_; }
 
     CxlMemoryExpander &device() { return dev_; }
@@ -214,11 +211,11 @@ class HostCxlPort
     void finish(HostAccess *a);
 
     EventQueue &eq_;      ///< host partition queue
-    EventQueue &dev_eq_;  ///< device partition queue (== eq_ unsharded)
+    EventQueue &dev_eq_;  ///< device partition queue
     CxlLink &link_;
     CxlMemoryExpander &dev_;
     HostPortConfig cfg_;
-    SimDomain *domain_;
+    SimDomain &domain_;
     unsigned dev_pid_;
     HostPortStats stats_;
 

@@ -757,7 +757,7 @@ NdpRuntime::pumpM2FuncQueue(DeviceState &dev)
         // store (and one slot). Full-format launches (> 8 B of inline
         // args) keep the exact single-launch wire timing.
         LaunchRecord *mate = nullptr;
-        if (cfg_.batch_launches && dev.m2f_wait_head != nullptr &&
+        if (dev.m2f_wait_head != nullptr &&
             rec->desc.argSize() <= kCompactMaxArgBytes &&
             dev.m2f_wait_head->desc.argSize() <= kCompactMaxArgBytes &&
             !deadlineExpired(dev.m2f_wait_head)) {

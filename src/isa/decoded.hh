@@ -47,9 +47,6 @@ struct DecodedInst
     std::uint32_t line = 0;      ///< source line for diagnostics
 };
 
-/** Decode a single instruction (used by the legacy single-step API). */
-DecodedInst decodeInst(const Instruction &in);
-
 /** One kernel section decoded to µops (same indexing as the source). */
 struct DecodedSection
 {

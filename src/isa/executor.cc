@@ -1128,6 +1128,8 @@ execDecoded(UthreadContext &ctx, const DecodedInst &in,
 // Decoding
 // --------------------------------------------------------------------------
 
+namespace {
+
 DecodedInst
 decodeInst(const Instruction &in)
 {
@@ -1205,6 +1207,8 @@ decodeInst(const Instruction &in)
     return d;
 }
 
+} // namespace
+
 DecodedSection
 decodeSection(const std::vector<Instruction> &code)
 {
@@ -1238,15 +1242,6 @@ step(UthreadContext &ctx, const DecodedSection &section, MemoryIf &mem)
     const auto size = static_cast<std::uint32_t>(section.code.size());
     M2_ASSERT(ctx.pc < size, "PC out of range: ", ctx.pc, " of ", size);
     return execDecoded(ctx, section.code[ctx.pc], size, mem);
-}
-
-StepResult
-step(UthreadContext &ctx, const std::vector<Instruction> &code, MemoryIf &mem)
-{
-    M2_ASSERT(ctx.pc < code.size(), "PC out of range: ", ctx.pc, " of ",
-              code.size());
-    DecodedInst d = decodeInst(code[ctx.pc]);
-    return execDecoded(ctx, d, static_cast<std::uint32_t>(code.size()), mem);
 }
 
 std::uint64_t

@@ -204,14 +204,6 @@ StepResult step(UthreadContext &ctx, const DecodedSection &section,
                 MemoryIf &mem);
 
 /**
- * Legacy single-step API over raw instructions (tests, debugging): decodes
- * the current instruction on the fly, then executes it. Semantically
- * identical to the decoded path; not for hot loops.
- */
-StepResult step(UthreadContext &ctx, const std::vector<Instruction> &code,
-                MemoryIf &mem);
-
-/**
  * Convenience: run one uthread section to completion functionally (no
  * timing), with an instruction budget to catch infinite loops. Decodes
  * the section once up front.

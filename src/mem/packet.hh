@@ -12,7 +12,7 @@
  * traffic performs zero heap allocations per access.
  *
  * A miss rides **one** packet end-to-end: each level a packet descends
- * (L1 miss, NoC port, L2 miss, DRAM ingress) pushes a *hop frame* — a
+ * (L1 miss, NoC port, L2 miss) pushes a *hop frame* — a
  * plain {function, context, two words} record — onto the packet's
  * intrusive hop stack instead of parking the packet and forwarding a
  * fresh carrier with an interposed callback. `complete(t)` pops the
@@ -88,9 +88,9 @@ struct MemPacket
     /**
      * Hop-stack depth: the deepest traversal is an L1 read miss that
      * also misses L2 — L1 fill frame, response-crossbar frame, L2 fill
-     * frame, DRAM path-debug frame.
+     * frame.
      */
-    static constexpr unsigned kMaxHops = 4;
+    static constexpr unsigned kMaxHops = 3;
 
     MemOp op = MemOp::Read;
     Addr addr = 0;
@@ -231,35 +231,24 @@ class MemPort
     virtual ~MemPort() = default;
 
     /**
-     * Hand a packet to this component. Ownership transfers; the component
-     * must eventually invoke complete() (directly or through a peer) and
-     * release the packet.
-     */
-    virtual void receive(MemPacketPtr pkt) = 0;
-
-    /**
-     * Fused delivery: hand over a packet whose logical arrival tick is
-     * @p at (>= now). The producing stage already knows when the packet
-     * reaches this port (crossbar hop, cache lookup latency), so instead
-     * of scheduling an event to make sim-time catch up first, the packet
-     * is pushed immediately and the port accounts from @p at.
+     * Hand over a packet whose logical arrival tick is @p at (>= now,
+     * less at most the queue's delivery slack). Ownership transfers; the
+     * component must eventually invoke complete() (directly or through a
+     * peer) and release the packet.
+     *
+     * Delivery is fused: the producing stage already knows when the
+     * packet reaches this port (crossbar hop, cache lookup latency), so
+     * instead of scheduling an event to make sim-time catch up first, it
+     * pushes the packet immediately and the port accounts from @p at.
+     * Producers with no such latency pass `now()`.
      *
      * Completion follows the same convention: `complete(t)` may run at a
      * sim-time earlier than `t`, carrying the logical completion tick.
-     * Consumers on fused paths must treat `t` as "payload is ready at t",
-     * not "now == t" (the NDP units park such completions on their cycle
+     * Consumers must treat `t` as "payload is ready at t", not
+     * "now == t" (the NDP units park such completions on their cycle
      * ticker; the host port re-schedules at max(now, t)).
-     *
-     * The default discards @p at, i.e. a port that models its own arrival
-     * queueing from now() sees the packet slightly early. Every port on
-     * the device access path overrides this.
      */
-    virtual void
-    receiveAt(MemPacketPtr pkt, Tick at)
-    {
-        (void)at;
-        receive(std::move(pkt));
-    }
+    virtual void receive(MemPacketPtr pkt, Tick at) = 0;
 };
 
 } // namespace m2ndp

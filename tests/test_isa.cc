@@ -411,7 +411,7 @@ TEST(Executor, MemRefCoalescing)
     auto k = as.assemble("vsetvli x0, x0, e32, m1\nli x3, 0x4000\n"
                          "vle32.v v1, (x3)\n");
     UthreadContext ctx;
-    const auto &code = k.sections[0].code;
+    const auto code = decodeSection(k.sections[0].code);
     step(ctx, code, mem); // vsetvli
     step(ctx, code, mem); // li
     auto r = step(ctx, code, mem);
@@ -425,7 +425,7 @@ TEST(Executor, MemRefCoalescing)
     auto k2 = as.assemble("vsetvli x0, x0, e32, m1\nli x3, 0x4010\n"
                           "vle32.v v1, (x3)\n");
     UthreadContext ctx2;
-    const auto &code2 = k2.sections[0].code;
+    const auto code2 = decodeSection(k2.sections[0].code);
     step(ctx2, code2, mem);
     step(ctx2, code2, mem);
     auto r2 = step(ctx2, code2, mem);
@@ -439,7 +439,7 @@ TEST(Executor, MemRefCoalescing)
         "vsetvli x0, x0, e32, m1\nli x3, 0x100\nvle32.v v2, (x3)\n"
         "li x4, 0x8000\nvluxei32.v v1, (x4), v2\n");
     UthreadContext ctx3;
-    const auto &code3 = k3.sections[0].code;
+    const auto code3 = decodeSection(k3.sections[0].code);
     for (int i = 0; i < 4; ++i)
         step(ctx3, code3, mem);
     auto r3 = step(ctx3, code3, mem);

@@ -129,7 +129,7 @@ streamBandwidth(const DramTiming &timing, unsigned channels, unsigned n,
             ++completed;
             last = std::max(last, t);
         };
-        dram.receive(std::move(pkt));
+        dram.receive(std::move(pkt), eq.now());
     }
     eq.run();
     EXPECT_EQ(completed, n);
@@ -161,7 +161,7 @@ TEST(Dram, SingleChannelRowHitVsMissLatency)
         pkt->addr = addr;
         pkt->size = 32;
         pkt->onComplete = [out](Tick t) { *out = t; };
-        dram.receive(std::move(pkt));
+        dram.receive(std::move(pkt), eq.now());
         eq.run();
     };
     send(0, &first);            // row miss (empty bank)
@@ -210,8 +210,9 @@ class FixedLatencyMem : public MemPort
   public:
     FixedLatencyMem(EventQueue &eq, Tick latency) : eq_(eq), latency_(latency) {}
 
+    // Ignores the arrival tick: the delay runs from delivery.
     void
-    receive(MemPacketPtr pkt) override
+    receive(MemPacketPtr pkt, Tick) override
     {
         ++accesses;
         bytes += pkt->size;
@@ -255,7 +256,7 @@ accessCache(EventQueue &eq, Cache &cache, MemOp op, Addr addr)
     pkt->addr = addr;
     pkt->size = 32;
     pkt->onComplete = [&](Tick t) { done = t; };
-    cache.receive(std::move(pkt));
+    cache.receive(std::move(pkt), eq.now());
     eq.run();
     return done;
 }
@@ -304,7 +305,7 @@ TEST(Cache, MshrMergesDuplicateSectorMisses)
         pkt->addr = 0x2000;
         pkt->size = 32;
         pkt->onComplete = [&](Tick) { ++completed; };
-        cache.receive(std::move(pkt));
+        cache.receive(std::move(pkt), eq.now());
     }
     eq.run();
     EXPECT_EQ(completed, 4);
@@ -364,6 +365,32 @@ TEST(Cache, AtomicsPassThroughWhenNotLocal)
     Tick t0 = eq.now();
     Tick done = accessCache(eq, l2, MemOp::Atomic, 0x5000); // now local
     EXPECT_LT(done - t0, 10000u);
+}
+
+TEST(Cache, LocalAtomicMissFillsFromDramAsRead)
+{
+    // Memory-side L2 wiring: an atomics_local cache fed straight into the
+    // DRAM device. The Atomic miss reaches DRAM as a sector Read fill
+    // (DramDevice rejects Atomic packets), executes at the cache, and
+    // leaves the line dirty — observed as the one writeback its eviction
+    // causes.
+    EventQueue eq;
+    DramDevice dram(eq, DramTiming::lpddr5(), 1);
+    auto cfg = testCacheConfig();
+    cfg.atomics_local = true;
+    Cache l2(eq, cfg, dram);
+
+    Tick done = accessCache(eq, l2, MemOp::Atomic, 0x5000);
+    EXPECT_NE(done, kTickMax);
+    EXPECT_EQ(l2.stats().atomics, 1u);
+    EXPECT_EQ(dram.totalStats().reads, 1u);
+    EXPECT_EQ(dram.totalStats().writes, 0u);
+
+    // Evict with clean reads: only the atomic's line is dirty.
+    for (unsigned i = 1; i <= 512; ++i)
+        accessCache(eq, l2, MemOp::Read, 0x5000 + i * 128 * 16);
+    EXPECT_EQ(l2.stats().writebacks, 1u);
+    EXPECT_EQ(dram.totalStats().writes, 1u);
 }
 
 TEST(Cache, InvalidateAll)
