@@ -9,8 +9,8 @@
 # stream-API tests, the fault suite, the memory-system suite, the
 # key-value store workloads and the full-stack quickstart example, and a
 # ThreadSanitizer smoke pass over the multithreaded partitioned-engine
-# tests plus the open-loop overload harness (-DSANITIZE=thread,
-# M2NDP_THREADS=2).
+# tests, the stream-API suite and the open-loop overload harness
+# (-DSANITIZE=thread, M2NDP_THREADS=2).
 #
 # Usage: scripts/ci.sh [--no-sanitize] [--no-bench]
 #   --no-sanitize  skip the sanitizer smoke trees (ASan/UBSan and TSan)
@@ -97,15 +97,18 @@ if [[ "$run_sanitize" == 1 ]]; then
 
     echo "==> ThreadSanitizer smoke (-DSANITIZE=thread, M2NDP_THREADS=2)"
     # The partitioned engine runs one executor thread per expander; TSan
-    # over the integration + fault suites with 2 worker threads covers
-    # the mailbox handoff, barrier, and the shared pool/memory paths.
+    # over the integration, fault and stream-API suites with 2 worker
+    # threads covers the mailbox handoff, barrier, the shared pool/memory
+    # paths, and the CXL.io completion hooks that post from a device
+    # partition back to the host.
     cmake -B "$tsan_dir" -S "$repo_root" -DSANITIZE=thread
     if ctest --test-dir "$tsan_dir" -N -R '^test_integration$' |
         grep -q 'Total Tests: 1'; then
         cmake --build "$tsan_dir" -j "$jobs" --target test_integration
         cmake --build "$tsan_dir" -j "$jobs" --target test_faults
+        cmake --build "$tsan_dir" -j "$jobs" --target test_runtime_api
         M2NDP_THREADS=2 ctest --test-dir "$tsan_dir" --output-on-failure \
-            -R 'test_integration|test_faults'
+            -R 'test_integration|test_faults|test_runtime_api'
         # Open-loop overload smoke: the multi-tenant traffic harness
         # (saturating open-loop arrivals, admission rejections, deadline
         # shedding, WRR priorities) drives the partitioned engine through

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/intrusive_fifo.hh"
 #include "common/units.hh"
 #include "mem/packet.hh"
 #include "sim/event_queue.hh"
@@ -144,12 +145,13 @@ class Cache : public MemPort
      * MSHR-full stall threshold (`cfg_.mshrs`) and the one-retry-per-fill
      * admission policy are unchanged from the sector-keyed design.
      */
+    using PacketFifo = IntrusiveFifo<MemPacket, &MemPacket::link>;
+
     struct Mshr
     {
         Addr line = 0;
         std::uint64_t sectors_pending = 0; ///< downstream fills in flight
-        MemPacket *waiters_head = nullptr;
-        MemPacket *waiters_tail = nullptr;
+        PacketFifo waiters;
         std::uint32_t way = kNoWay; ///< cached lines_ index for the fill
         Mshr *free_next = nullptr;  ///< node-pool free list
     };
@@ -258,9 +260,8 @@ class Cache : public MemPort
     std::uint64_t mshr_mask_ = 0;
     std::size_t mshr_count_ = 0; ///< outstanding sector fills (stall gate)
 
-    /** Requests waiting for a free MSHR (intrusive FIFO via pkt->link). */
-    MemPacket *stalled_head_ = nullptr;
-    MemPacket *stalled_tail_ = nullptr;
+    /** Requests waiting for a free MSHR. */
+    PacketFifo stalled_;
 
     Tick port_free_ = 0;
     std::uint64_t lru_clock_ = 0;

@@ -2,13 +2,11 @@
  * @file
  * Typed error taxonomy for the offload stack.
  *
- * Every layer that used to signal failure with a bare negative int64
- * (`kNdpErr`) now draws its codes from `NdpError`. The wire encoding is
- * unchanged — errors still travel as negative int64 values through the
- * M2func return slots and the `instance_id` field of launch records, so
- * kernel-instance ids (always positive) and error codes share one
- * channel exactly as before. What changed is that the value now says
- * *which* failure occurred, and `NdpEvent::error()` decodes it for the
+ * Every layer signals failure with an `NdpError` code. Errors travel as
+ * negative int64 values through the M2func return slots and the
+ * `instance_id` field of launch records, so kernel-instance ids (always
+ * positive) and error codes share one channel; the value says *which*
+ * failure occurred, and `NdpEvent::error()` decodes it for the
  * application.
  *
  * Error classes, by origin:
@@ -37,7 +35,8 @@ namespace m2ndp {
 enum class NdpError : std::int64_t
 {
     Ok = 0,
-    /** Legacy catch-all; numerically equal to the old kNdpErr = -1. */
+    /** No result is known: an empty event handle, a launch that has not
+     *  completed yet, or an M2func return slot nothing wrote. */
     Unknown = -1,
     /** Launch names a kernel this ASID never registered. */
     InvalidKernel = -2,

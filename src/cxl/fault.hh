@@ -3,7 +3,8 @@
  * Deterministic, seeded fault injection for the CXL link layer.
  *
  * Fault model (per direction-agnostic *message* — a request or response
- * flit train crossing the link in `CxlDirection::send`):
+ * flit train crossing the link in `CxlDirection::send`), plus a permanent
+ * link failure forced through `CxlLink::forceLinkDown`:
  *
  *  - **CRC bit-errors**: each wire bit flips with probability
  *    `bit_error_rate`; the per-message detection probability is
@@ -14,8 +15,8 @@
  *  - **Dropped flits**: with probability `drop_rate` the flit train is
  *    lost outright and recovered by an ack-timeout replay
  *    (`drop_replay_penalty`) — delivered late, counted separately.
- *  - **Link down**: at `link_down_at` (one-shot schedule, 0 = never)
- *    the link fails permanently. This is the only *unrecoverable* fault:
+ *  - **Link down** (`CxlLink::forceLinkDown(at)`): the link fails
+ *    permanently at tick `at`. This is the only *unrecoverable* fault:
  *    the host port aborts in-flight accesses with a typed error and the
  *    runtime marks the device lost.
  *
@@ -58,8 +59,6 @@ struct FaultConfig
     Tick crc_replay_penalty = 100 * kNs;
     /** Latency cost of an ack-timeout replay after a dropped flit. */
     Tick drop_replay_penalty = 500 * kNs;
-    /** One-shot permanent link failure at this tick (0 = never). */
-    Tick link_down_at = 0;
 };
 
 /** Fault counters, bit-exact across same-seed runs. */
@@ -87,21 +86,11 @@ class FaultInjector
     armed() const
     {
         return cfg_.enabled &&
-               (cfg_.bit_error_rate > 0.0 || cfg_.drop_rate > 0.0 ||
-                cfg_.link_down_at != 0);
+               (cfg_.bit_error_rate > 0.0 || cfg_.drop_rate > 0.0);
     }
 
     const FaultConfig &config() const { return cfg_; }
     const FaultStats &stats() const { return stats_; }
-
-    /** Has the one-shot link-down schedule come due? */
-    bool
-    shouldGoDown(Tick now) const
-    {
-        return cfg_.link_down_at != 0 && now >= cfg_.link_down_at;
-    }
-
-    void noteLinkDown() { ++stats_.link_down_events; }
 
     /**
      * Roll the dice for one message of @p bytes. Returns the extra

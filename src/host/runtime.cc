@@ -36,7 +36,8 @@ NdpEvent::device() const
 std::int64_t
 NdpEvent::instanceId() const
 {
-    return rec_ != nullptr ? rec_->instance_id : kNdpErr;
+    return rec_ != nullptr ? rec_->instance_id
+                           : static_cast<std::int64_t>(NdpError::Unknown);
 }
 
 bool
@@ -65,7 +66,7 @@ std::int64_t
 NdpEvent::wait()
 {
     if (rec_ == nullptr)
-        return kNdpErr;
+        return static_cast<std::int64_t>(NdpError::Unknown);
     rt_->waitFor(rec_);
     return rec_->instance_id;
 }
@@ -113,7 +114,7 @@ NdpStream::launch(const LaunchDesc &desc)
     if (rec->deadline == 0 && default_deadline_ != 0)
         rec->deadline = rt_.eq_.now() + default_deadline_;
     rec->weight = priority_;
-    if (queue_limit_ != 0 && queued_ >= queue_limit_) [[unlikely]] {
+    if (queue_limit_ != 0 && queue_.size() >= queue_limit_) [[unlikely]] {
         // Admission control: a full bounded stream queue rejects the
         // launch immediately with a typed error instead of growing
         // without bound. The rejection is not a stream fault — fail-fast
@@ -127,13 +128,7 @@ NdpStream::launch(const LaunchDesc &desc)
         return NdpEvent(&rt_, rec);
     }
     rec->stream = this;
-    rec->next = nullptr;
-    if (queue_tail_ != nullptr)
-        queue_tail_->next = rec;
-    else
-        queue_head_ = rec;
-    queue_tail_ = rec;
-    ++queued_;
+    queue_.push_back(rec);
     pump();
     return NdpEvent(&rt_, rec);
 }
@@ -141,16 +136,10 @@ NdpStream::launch(const LaunchDesc &desc)
 void
 NdpStream::pump()
 {
-    if (in_flight_ || queue_head_ == nullptr)
+    if (in_flight_ || queue_.empty())
         return;
-    LaunchRecord *rec = queue_head_;
-    queue_head_ = rec->next;
-    if (queue_head_ == nullptr)
-        queue_tail_ = nullptr;
-    rec->next = nullptr;
-    --queued_;
     in_flight_ = true;
-    rt_.issueRecord(rec);
+    rt_.issueRecord(queue_.pop_front());
 }
 
 void
@@ -169,10 +158,8 @@ NdpStream::abortQueued(Tick now)
 {
     // Queued records never reached issueRecord, so they are not counted
     // in flight: complete them here instead of via completeRecord.
-    while (queue_head_ != nullptr) {
-        LaunchRecord *rec = queue_head_;
-        queue_head_ = rec->next;
-        rec->next = nullptr;
+    while (!queue_.empty()) {
+        LaunchRecord *rec = queue_.pop_front();
         rec->done = true;
         rec->instance_id = static_cast<std::int64_t>(NdpError::Aborted);
         rec->completed_at = now;
@@ -184,8 +171,6 @@ NdpStream::abortQueued(Tick now)
         }
         rt_.releaseRecordRef(rec); // the runtime's reference
     }
-    queue_tail_ = nullptr;
-    queued_ = 0;
 }
 
 void
@@ -215,7 +200,9 @@ NdpRuntime::NdpRuntime(std::vector<HostCxlPort *> ports,
         devs_[d].port = ports[d];
         devs_[d].m2func_pa = m2func_region_pas[d];
         devs_[d].slot_pending.assign(kM2FuncLaunchSlots, 0);
-        devs_[d].kernel_ids.push_back(kNdpErr); // handle 0 is invalid
+        // Handle 0 is invalid.
+        devs_[d].kernel_ids.push_back(
+            static_cast<std::int64_t>(NdpError::InvalidKernel));
     }
     // Token bucket: integer ticks per token so refills are exact and
     // deterministic (no floating point accumulates into sim time).
@@ -307,7 +294,8 @@ NdpRuntime::unregisterKernel(std::int64_t kernel_id)
         kernel_id > 0 &&
         static_cast<std::size_t>(kernel_id) < devs_[0].kernel_ids.size()) {
         for (auto &dev : devs_)
-            dev.kernel_ids[static_cast<std::size_t>(kernel_id)] = kNdpErr;
+            dev.kernel_ids[static_cast<std::size_t>(kernel_id)] =
+                static_cast<std::int64_t>(NdpError::InvalidKernel);
     }
     return result;
 }
@@ -389,7 +377,7 @@ NdpRuntime::allocRecord()
     rec->attempts = 0;
     rec->done = false;
     rec->sync = false;
-    rec->instance_id = kNdpErr;
+    rec->instance_id = static_cast<std::int64_t>(NdpError::Unknown);
     rec->issued_at = 0;
     rec->completed_at = 0;
     rec->deadline = 0;
@@ -468,12 +456,7 @@ NdpRuntime::issueRecord(LaunchRecord *rec)
         refillTokens();
         if (tb_tokens_ == 0) {
             ++stats_.throttled_launches;
-            rec->next = nullptr;
-            if (tb_wait_tail_ != nullptr)
-                tb_wait_tail_->next = rec;
-            else
-                tb_wait_head_ = rec;
-            tb_wait_tail_ = rec;
+            tb_wait_.push_back(rec);
             scheduleRateLimiterPump();
             return;
         }
@@ -553,29 +536,21 @@ NdpRuntime::pumpRateLimiter()
 {
     tb_pump_scheduled_ = false;
     refillTokens();
-    while (tb_wait_head_ != nullptr) {
-        LaunchRecord *rec = tb_wait_head_;
-        if (deadlineExpired(rec)) [[unlikely]] {
+    while (!tb_wait_.empty()) {
+        if (deadlineExpired(tb_wait_.front())) [[unlikely]] {
             // Shedding needs no token; waiting for one would only make
             // the launch later still.
-            tb_wait_head_ = rec->next;
-            if (tb_wait_head_ == nullptr)
-                tb_wait_tail_ = nullptr;
-            rec->next = nullptr;
             ++stats_.deadline_shed;
-            failRecordAsync(rec, NdpError::DeadlineExceeded);
+            failRecordAsync(tb_wait_.pop_front(),
+                            NdpError::DeadlineExceeded);
             continue;
         }
         if (tb_tokens_ == 0)
             break;
-        tb_wait_head_ = rec->next;
-        if (tb_wait_head_ == nullptr)
-            tb_wait_tail_ = nullptr;
-        rec->next = nullptr;
         --tb_tokens_;
-        issueAdmitted(rec);
+        issueAdmitted(tb_wait_.pop_front());
     }
-    if (tb_wait_head_ != nullptr)
+    if (!tb_wait_.empty())
         scheduleRateLimiterPump();
 }
 
@@ -653,19 +628,10 @@ NdpRuntime::markDeviceLost(unsigned device)
     std::int64_t code = static_cast<std::int64_t>(NdpError::DeviceLost);
     // Fail everything queued on this device. Completion may pump the
     // owning streams, whose next launches then re-route via issueRecord.
-    auto drain = [&](LaunchRecord *&head, LaunchRecord *&tail) {
-        while (head != nullptr) {
-            LaunchRecord *rec = head;
-            head = rec->next;
-            if (head == nullptr)
-                tail = nullptr;
-            rec->next = nullptr;
-            completeRecord(rec, code, eq_.now());
-        }
-    };
-    drain(dev.m2f_wait_head, dev.m2f_wait_tail);
-    dev.m2f_wait_len = 0;
-    drain(dev.direct_head, dev.direct_tail);
+    for (auto *q : {&dev.m2f_wait, &dev.direct_wait}) {
+        while (!q->empty())
+            completeRecord(q->pop_front(), code, eq_.now());
+    }
 }
 
 int
@@ -698,7 +664,7 @@ NdpRuntime::issueM2Func(LaunchRecord *rec)
 {
     DeviceState &dev = devs_[rec->device];
     if (cfg_.device_queue_limit != 0 &&
-        dev.m2f_wait_len >= cfg_.device_queue_limit) [[unlikely]] {
+        dev.m2f_wait.size() >= cfg_.device_queue_limit) [[unlikely]] {
         // Bounded device queue: overflow is a typed rejection, never
         // silent unbounded growth. Failovers land here too, so a
         // surviving device's admission limit holds when its peers die.
@@ -709,32 +675,21 @@ NdpRuntime::issueM2Func(LaunchRecord *rec)
     // Queue, then drain: the pump owns the free-slot scan, so launches
     // that find a slot immediately and launches that waited share one
     // assignment path.
-    rec->next = nullptr;
-    if (dev.m2f_wait_tail != nullptr)
-        dev.m2f_wait_tail->next = rec;
-    else
-        dev.m2f_wait_head = rec;
-    dev.m2f_wait_tail = rec;
-    ++dev.m2f_wait_len;
+    dev.m2f_wait.push_back(rec);
     pumpM2FuncQueue(dev);
 }
 
 void
 NdpRuntime::pumpM2FuncQueue(DeviceState &dev)
 {
-    while (dev.m2f_wait_head != nullptr) {
-        LaunchRecord *rec = dev.m2f_wait_head;
-        if (deadlineExpired(rec)) [[unlikely]] {
+    while (!dev.m2f_wait.empty()) {
+        if (deadlineExpired(dev.m2f_wait.front())) [[unlikely]] {
             // A launch whose deadline passed while it waited is shed
             // before it can consume a slot the live launches behind it
             // need.
-            dev.m2f_wait_head = rec->next;
-            if (dev.m2f_wait_head == nullptr)
-                dev.m2f_wait_tail = nullptr;
-            rec->next = nullptr;
-            --dev.m2f_wait_len;
             ++stats_.deadline_shed;
-            failRecordAsync(rec, NdpError::DeadlineExceeded);
+            failRecordAsync(dev.m2f_wait.pop_front(),
+                            NdpError::DeadlineExceeded);
             continue;
         }
         unsigned slot = kM2FuncLaunchSlots;
@@ -747,27 +702,18 @@ NdpRuntime::pumpM2FuncQueue(DeviceState &dev)
         }
         if (slot == kM2FuncLaunchSlots)
             return;
-        dev.m2f_wait_head = rec->next;
-        if (dev.m2f_wait_head == nullptr)
-            dev.m2f_wait_tail = nullptr;
-        rec->next = nullptr;
-        --dev.m2f_wait_len;
+        LaunchRecord *rec = dev.m2f_wait.pop_front();
         // Batch probe: when a backlog exists and both the head and the
         // next launch fit the compact half-format, they share one 64 B
         // store (and one slot). Full-format launches (> 8 B of inline
         // args) keep the exact single-launch wire timing.
         LaunchRecord *mate = nullptr;
-        if (dev.m2f_wait_head != nullptr &&
+        LaunchRecord *next = dev.m2f_wait.front();
+        if (next != nullptr &&
             rec->desc.argSize() <= kCompactMaxArgBytes &&
-            dev.m2f_wait_head->desc.argSize() <= kCompactMaxArgBytes &&
-            !deadlineExpired(dev.m2f_wait_head)) {
-            mate = dev.m2f_wait_head;
-            dev.m2f_wait_head = mate->next;
-            if (dev.m2f_wait_head == nullptr)
-                dev.m2f_wait_tail = nullptr;
-            mate->next = nullptr;
-            --dev.m2f_wait_len;
-        }
+            next->desc.argSize() <= kCompactMaxArgBytes &&
+            !deadlineExpired(next))
+            mate = dev.m2f_wait.pop_front();
         dev.rr_slot = (slot + 1) % kM2FuncLaunchSlots;
         dev.slot_pending[slot] = mate != nullptr ? 2 : 1;
         m2funcLaunchOn(dev, slot, rec, mate);
@@ -825,11 +771,12 @@ NdpRuntime::m2funcLaunchOn(DeviceState &dev, unsigned slot,
         ++stats_.batched_stores;
         stats_.batched_launches += 2;
         dev.port->writeAsync(addr, payload, sizeof(payload), {});
-        rec->m2f_ret = kNdpErr;
+        // A return value the device never wrote means it never answered.
+        rec->m2f_ret = static_cast<std::int64_t>(NdpError::DeviceLost);
         dev.port->readAsync(addr, 8, &rec->m2f_ret, [rec](Tick t) {
             rec->rt->m2funcReturned(rec, t);
         });
-        mate->m2f_ret = kNdpErr;
+        mate->m2f_ret = static_cast<std::int64_t>(NdpError::DeviceLost);
         dev.port->readAsync(addr + kM2FuncStride, 8, &mate->m2f_ret,
                             [mate](Tick t) {
                                 mate->rt->m2funcReturned(mate, t);
@@ -843,8 +790,8 @@ NdpRuntime::m2funcLaunchOn(DeviceState &dev, unsigned slot,
     dev.port->writeAsync(addr, payload, len, {});
     // The deferred return-value read carries the instance id in its DRS:
     // the device fills rec->m2f_ret at response formation, after the
-    // controller wrote the return slot.
-    rec->m2f_ret = kNdpErr;
+    // controller wrote the return slot; DeviceLost until it does.
+    rec->m2f_ret = static_cast<std::int64_t>(NdpError::DeviceLost);
     dev.port->readAsync(addr, 8, &rec->m2f_ret, [rec](Tick t) {
         rec->rt->m2funcReturned(rec, t);
     });
@@ -871,115 +818,77 @@ NdpRuntime::m2funcReturned(LaunchRecord *rec, Tick t)
     completeRecord(rec, iid, t);
 }
 
-// ---- CXL.io ring buffer (Fig. 5b) ----
+// ---- CXL.io ring buffer (Fig. 5b) and direct MMIO (Fig. 5c) ----
+//
+// Both schemes launch on the device with the controller's completion hook
+// and differ only in their one-way trip counts and in the direct scheme's
+// device-wide serialization.
 
 void
 NdpRuntime::issueRingBuffer(LaunchRecord *rec)
 {
     // CMD enqueue + doorbell + command fetch: kernel starts 5y after the
-    // host initiates; completion (CMP + host check) reaches the host 3y
-    // after kernel end. The doorbell crosses onto the device partition
+    // host initiates. The doorbell crosses onto the device partition
     // (5y >> the link lookahead); the completion crosses back.
     Tick y = cfg_.io.oneway_latency;
-    DeviceState &dev = devs_[rec->device];
-    dev.port->postToDeviceAt(eq_.now() + 5 * y,
-                             [rec] { rec->rt->ringBufferArrived(rec); });
+    devs_[rec->device].port->postToDeviceAt(
+        eq_.now() + 5 * y, [rec] { rec->rt->cxlIoArrived(rec); });
 }
-
-void
-NdpRuntime::ringBufferArrived(LaunchRecord *rec)
-{
-    // Runs on the device partition: controller state is device-owned;
-    // runtime/stream state is only touched back on the host side.
-    DeviceState &dev = devs_[rec->device];
-    auto &ctrl = dev.port->device().controller();
-    Tick y = cfg_.io.oneway_latency;
-    std::int64_t iid = ctrl.launch(
-        process_.asid(), deviceKernelId(dev, rec->desc.kernel()), false,
-        rec->desc.poolBase(), rec->desc.poolBound(), rec->desc.argData(),
-        rec->desc.argSize());
-    if (iid < 0) {
-        dev.port->postToHostAt(
-            dev.port->deviceQueue().now() + 3 * y, [rec, iid] {
-                rec->rt->completeRecord(rec, iid, rec->rt->eq_.now());
-            });
-        return;
-    }
-    ctrl.onInstanceComplete(iid, [rec, iid, y](Tick) {
-        HostCxlPort *port = rec->rt->devs_[rec->device].port;
-        port->postToHostAt(port->deviceQueue().now() + 3 * y, [rec, iid] {
-            rec->rt->completeRecord(rec, iid, rec->rt->eq_.now());
-        });
-    });
-}
-
-// ---- CXL.io direct MMIO (Fig. 5c): device-wide serialization ----
 
 void
 NdpRuntime::issueDirect(LaunchRecord *rec)
 {
     DeviceState &dev = devs_[rec->device];
-    rec->next = nullptr;
-    if (dev.direct_tail != nullptr)
-        dev.direct_tail->next = rec;
-    else
-        dev.direct_head = rec;
-    dev.direct_tail = rec;
+    dev.direct_wait.push_back(rec);
     pumpDirectQueue(dev);
 }
 
 void
 NdpRuntime::pumpDirectQueue(DeviceState &dev)
 {
-    if (dev.direct_busy || dev.direct_head == nullptr)
+    if (dev.direct_busy || dev.direct_wait.empty())
         return;
     dev.direct_busy = true;
-    LaunchRecord *rec = dev.direct_head;
-    dev.direct_head = rec->next;
-    if (dev.direct_head == nullptr)
-        dev.direct_tail = nullptr;
-    rec->next = nullptr;
-    // Fig. 5c: MMIO doorbell: kernel starts 2y after initiation; the
-    // result register read costs another y after kernel end.
+    LaunchRecord *rec = dev.direct_wait.pop_front();
+    // MMIO doorbell: kernel starts 2y after initiation.
     Tick y = cfg_.io.oneway_latency;
     dev.port->postToDeviceAt(eq_.now() + 2 * y,
-                             [rec] { rec->rt->directArrived(rec); });
+                             [rec] { rec->rt->cxlIoArrived(rec); });
 }
 
 void
-NdpRuntime::directArrived(LaunchRecord *rec)
+NdpRuntime::cxlIoArrived(LaunchRecord *rec)
 {
-    // Runs on the device partition; `direct_busy`, completion and pumping
-    // are host state and travel back across the boundary (the failure
-    // path pays the result-read y like the success path).
+    // Runs on the device partition: controller state is device-owned;
+    // runtime/stream state is only touched back on the host side.
     DeviceState &dev = devs_[rec->device];
-    auto &ctrl = dev.port->device().controller();
-    Tick y = cfg_.io.oneway_latency;
-    std::int64_t iid = ctrl.launch(
+    std::int64_t iid = dev.port->device().controller().launch(
         process_.asid(), deviceKernelId(dev, rec->desc.kernel()), false,
         rec->desc.poolBase(), rec->desc.poolBound(), rec->desc.argData(),
-        rec->desc.argSize());
-    auto complete_on_host = [rec, iid] {
-        NdpRuntime *rt = rec->rt;
-        DeviceState &d = rt->devs_[rec->device];
-        d.direct_busy = false;
-        rt->completeRecord(rec, iid, rt->eq_.now());
-        rt->pumpDirectQueue(d);
-    };
-    if (iid < 0) {
-        dev.port->postToHostAt(dev.port->deviceQueue().now() + y,
-                               complete_on_host);
-        return;
-    }
-    ctrl.onInstanceComplete(iid, [rec, iid, y](Tick) {
-        HostCxlPort *port = rec->rt->devs_[rec->device].port;
-        port->postToHostAt(port->deviceQueue().now() + y, [rec, iid] {
-            NdpRuntime *rt = rec->rt;
-            DeviceState &d = rt->devs_[rec->device];
-            d.direct_busy = false;
-            rt->completeRecord(rec, iid, rt->eq_.now());
-            rt->pumpDirectQueue(d);
+        rec->desc.argSize(), [rec](std::int64_t result, Tick) {
+            rec->rt->cxlIoCompleted(rec, result);
         });
+    if (iid < 0)
+        cxlIoCompleted(rec, iid);
+}
+
+void
+NdpRuntime::cxlIoCompleted(LaunchRecord *rec, std::int64_t result)
+{
+    // Still on the device partition. The completion (ring buffer: CMP +
+    // host check; direct: result-register read) reaches the host 3y or y
+    // after kernel end; a rejected launch pays the same trip. The direct
+    // scheme then frees the device for its next queued launch (a no-op
+    // for the ring buffer, whose direct queue stays empty).
+    Tick y = cfg_.io.oneway_latency;
+    Tick back = cfg_.scheme == OffloadScheme::CxlIoDirect ? y : 3 * y;
+    HostCxlPort *port = devs_[rec->device].port;
+    port->postToHostAt(port->deviceQueue().now() + back, [rec, result] {
+        NdpRuntime *rt = rec->rt;
+        DeviceState &dev = rt->devs_[rec->device];
+        dev.direct_busy = false;
+        rt->completeRecord(rec, result, rt->eq_.now());
+        rt->pumpDirectQueue(dev);
     });
 }
 

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/intrusive_fifo.hh"
 #include "common/slab_pool.hh"
 #include "host/host.hh"
 #include "host/stream.hh"
@@ -198,15 +199,11 @@ class NdpRuntime
          */
         std::vector<std::uint8_t> slot_pending;
         unsigned rr_slot = 0;
-        /** Records waiting for a free M2func slot (intrusive FIFO). */
-        LaunchRecord *m2f_wait_head = nullptr;
-        LaunchRecord *m2f_wait_tail = nullptr;
-        /** Length of the m2f_wait FIFO (admission-control bound). */
-        unsigned m2f_wait_len = 0;
+        /** Records waiting for a free M2func slot (admission-bounded). */
+        IntrusiveFifo<LaunchRecord> m2f_wait;
         /** CXL.io direct scheme: one kernel at a time (Section III-C). */
         bool direct_busy = false;
-        LaunchRecord *direct_head = nullptr;
-        LaunchRecord *direct_tail = nullptr;
+        IntrusiveFifo<LaunchRecord> direct_wait;
         /** Link went down for good; launches re-route to survivors. */
         bool lost = false;
     };
@@ -243,10 +240,13 @@ class NdpRuntime
     void pumpRateLimiter();
     void scheduleRateLimiterPump();
     void issueRingBuffer(LaunchRecord *rec);
-    void ringBufferArrived(LaunchRecord *rec);
     void issueDirect(LaunchRecord *rec);
     void pumpDirectQueue(DeviceState &dev);
-    void directArrived(LaunchRecord *rec);
+    /** CXL.io schemes: the doorbell reached the device; launch there. */
+    void cxlIoArrived(LaunchRecord *rec);
+    /** CXL.io schemes: carry @p result (instance id or error) back to
+     *  the host after the scheme's completion latency. */
+    void cxlIoCompleted(LaunchRecord *rec, std::int64_t result);
 
     /** Mark @p rec complete, notify event/stream, release runtime ref. */
     void completeRecord(LaunchRecord *rec, std::int64_t iid, Tick t);
@@ -263,7 +263,8 @@ class NdpRuntime
     /** Drive the event queue until @p rec completes. */
     void waitFor(LaunchRecord *rec);
 
-    /** Resolve the runtime kernel handle for a device (kNdpErr if bad). */
+    /** Resolve the runtime kernel handle for a device (InvalidKernel if
+     *  bad). */
     std::int64_t deviceKernelId(const DeviceState &dev,
                                 std::int64_t kernel) const;
 
@@ -290,9 +291,8 @@ class NdpRuntime
     std::uint64_t tb_tokens_ = 0;
     Tick tb_last_refill_ = 0;
     bool tb_pump_scheduled_ = false;
-    /** Launches parked waiting for a token (intrusive FIFO). */
-    LaunchRecord *tb_wait_head_ = nullptr;
-    LaunchRecord *tb_wait_tail_ = nullptr;
+    /** Launches parked waiting for a token. */
+    IntrusiveFifo<LaunchRecord> tb_wait_;
 
     /** Slab-pooled launch records (retained for the runtime lifetime). */
     SlabPool<LaunchRecord> record_pool_;

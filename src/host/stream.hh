@@ -31,6 +31,7 @@
 
 #include "common/callback.hh"
 #include "common/error.hh"
+#include "common/intrusive_fifo.hh"
 #include "common/log.hh"
 #include "common/units.hh"
 
@@ -343,7 +344,7 @@ class NdpStream
     unsigned queueLimit() const { return queue_limit_; }
 
     /** Launches currently queued behind the in-flight one. */
-    unsigned queued() const { return queued_; }
+    unsigned queued() const { return static_cast<unsigned>(queue_.size()); }
 
     /** Drive the simulation until every launch on this stream completed. */
     void synchronize();
@@ -376,12 +377,10 @@ class NdpStream
 
     NdpRuntime &rt_;
     unsigned device_;
-    LaunchRecord *queue_head_ = nullptr; ///< not yet issued
-    LaunchRecord *queue_tail_ = nullptr;
+    IntrusiveFifo<LaunchRecord> queue_; ///< not yet issued
     bool in_flight_ = false;
     std::uint64_t launched_ = 0;
     std::uint64_t completed_ = 0;
-    unsigned queued_ = 0; ///< records sitting in the queue (admission)
     unsigned queue_limit_ = kDefaultQueueLimit;
     Tick default_deadline_ = 0; ///< relative; 0 = none
     StreamPolicy policy_ = StreamPolicy::FailFast;

@@ -23,11 +23,13 @@
 namespace m2ndp {
 
 /**
- * Completion hook attached to a kernel instance. Inline (48 B SBO,
- * move-only) so the per-launch completion plumbing — armed on every warm
- * launch — never touches the heap the way the old `std::function` did.
+ * Completion hook of a kernel instance, called once with (result, tick):
+ * the result is the instance id, or the instance's negative NdpError if it
+ * faulted — the same shape as the host's LaunchCallback. Inline (48 B
+ * SBO, move-only) so arming it on every warm launch never touches the
+ * heap.
  */
-using InstanceCompleteFn = InlineCallback<void(Tick)>;
+using InstanceCompleteFn = InlineCallback<void(std::int64_t, Tick)>;
 
 /** Resource declaration given at kernel registration (Table II). */
 struct KernelResources
@@ -75,6 +77,8 @@ enum class KernelStatus : std::int64_t {
     Pending = 2,
     /** Completed with an error (trap, watchdog kill). */
     Faulted = 3,
+    /** No instance with the polled id (never launched, or no target). */
+    Unknown = -1,
 };
 
 /** One running (or queued) kernel launch. */
@@ -128,30 +132,9 @@ struct KernelInstance
     /** Total dynamic instructions executed by this instance's uthreads. */
     std::uint64_t instructions = 0;
 
-    /**
-     * Invoked exactly once when the instance reaches Done, in slot order.
-     * Two fixed slots instead of one wrappable hook: composing inline
-     * callbacks by capturing the previous one inside a new lambda would
-     * blow the 48 B capture budget and fall back to the heap on every
-     * warm launch. Slot 0 is the launch-time hook; slot 1 is the
-     * observer appended later (the sync-M2func return resolver or the
-     * host runtime's completion notification).
-     */
+    /** Given to NdpController::launch; invoked once when the instance
+     *  reaches Done (possibly inside launch() for a degenerate one). */
     InstanceCompleteFn on_complete;
-    InstanceCompleteFn on_complete_observer;
-
-    /** Append a completion hook into the first free slot. */
-    void
-    addCompletion(InstanceCompleteFn cb)
-    {
-        if (!on_complete) {
-            on_complete = std::move(cb);
-            return;
-        }
-        M2_ASSERT(!on_complete_observer,
-                  "kernel instance completion slots exhausted");
-        on_complete_observer = std::move(cb);
-    }
 
     bool
     isActive() const

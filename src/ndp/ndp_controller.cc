@@ -100,27 +100,21 @@ NdpController::launchParsed(Asid asid, std::uint64_t fn_index, bool sync,
                             std::uint32_t args_size, unsigned weight)
 {
     // The *write* returns promptly; the launch return value is fetched by
-    // the subsequent read to the same offset (deferred if synchronous).
-    setReturn(asid, fn_index, kNdpErr, !sync);
-    std::int64_t iid = launch(asid, kernel_id, sync, base, bound, args,
-                              args_size, {}, weight);
-    if (iid < 0) {
-        // Typed rejection code travels back through the return slot.
-        resolveReturn(asid, fn_index, iid);
-        return;
-    }
+    // the subsequent read to the same offset. A synchronous launch holds
+    // that read until its completion hook resolves it with the instance
+    // id or the instance's error (inside launch() for a degenerate one).
+    InstanceCompleteFn on_complete;
     if (sync) {
-        KernelInstance *inst = instances_by_id_.at(iid);
-        // Appended as a completion slot rather than wrapping the previous
-        // hook: capturing an InlineCallback inside another lambda would
-        // overflow the inline budget and heap-allocate per sync launch.
-        inst->addCompletion([this, asid, iid, fn_index](Tick) {
-            std::int64_t err = instanceError(iid);
-            resolveReturn(asid, fn_index, err < 0 ? err : iid);
-        });
-    } else {
-        resolveReturn(asid, fn_index, iid);
+        returns_[slotKey(asid, fn_index)].ready = false;
+        on_complete = [this, asid, fn_index](std::int64_t result, Tick) {
+            resolveReturn(asid, fn_index, result);
+        };
     }
+    std::int64_t iid = launch(asid, kernel_id, sync, base, bound, args,
+                              args_size, std::move(on_complete), weight);
+    // A typed rejection code, or an asynchronous launch's id, is ready now.
+    if (iid < 0 || !sync)
+        resolveReturn(asid, fn_index, iid);
 }
 
 void
@@ -160,7 +154,9 @@ NdpController::handleWrite(Asid asid, std::uint64_t offset,
         auto id = payload.get<std::int64_t>(0);
         auto it = kernels_.find(id);
         if (it == kernels_.end() || it->second->asid != asid) {
-            setReturn(asid, static_cast<std::uint64_t>(fn), kNdpErr, true);
+            setReturn(asid, static_cast<std::uint64_t>(fn),
+                      static_cast<std::int64_t>(NdpError::InvalidKernel),
+                      true);
             return;
         }
         kernels_.erase(it);
@@ -205,10 +201,10 @@ NdpController::handleRead(Asid asid, std::uint64_t offset,
         // Poll status is recomputed at read time so a spinning host sees
         // progress without rewriting the function arguments.
         auto it = last_poll_target_.find(asid);
-        std::int64_t v = it == last_poll_target_.end()
-                             ? kNdpErr
-                             : static_cast<std::int64_t>(status(it->second));
-        respond(v);
+        KernelStatus v = it == last_poll_target_.end()
+                             ? KernelStatus::Unknown
+                             : status(it->second);
+        respond(static_cast<std::int64_t>(v));
         return;
     }
     ReturnSlot &slot = returns_[slotKey(asid, fn_index)];
@@ -309,52 +305,18 @@ NdpController::launch(Asid asid, std::int64_t kernel_id, bool synchronous,
     return id;
 }
 
-void
-NdpController::onInstanceComplete(std::int64_t instance_id,
-                                  InstanceCompleteFn cb)
-{
-    auto done = completed_.find(instance_id);
-    if (done != completed_.end()) {
-        Tick now = env_.eventQueue().now();
-        // Cold path (observer attached after completion): the event
-        // captures the 56 B hook and falls back to the heap; acceptable
-        // because it only runs for already-finished instances.
-        // ndp-lint: allow(capture-budget)
-        env_.eventQueue().schedule(now, [cb = std::move(cb), now]() mutable {
-            cb(now);
-        });
-        return;
-    }
-    auto it = instances_by_id_.find(instance_id);
-    M2_ASSERT(it != instances_by_id_.end(),
-              "onInstanceComplete: unknown instance ", instance_id);
-    it->second->addCompletion(std::move(cb));
-}
-
 KernelStatus
 NdpController::status(std::int64_t instance_id) const
 {
-    if (completed_.count(instance_id)) {
-        return completed_errors_.count(instance_id)
-                   ? KernelStatus::Faulted
-                   : KernelStatus::Finished;
-    }
+    auto done = completed_.find(instance_id);
+    if (done != completed_.end())
+        return done->second;
     auto it = instances_by_id_.find(instance_id);
     if (it == instances_by_id_.end())
-        return static_cast<KernelStatus>(kNdpErr);
+        return KernelStatus::Unknown;
     return it->second->phase == InstancePhase::Pending
                ? KernelStatus::Pending
                : KernelStatus::Running;
-}
-
-std::int64_t
-NdpController::instanceError(std::int64_t instance_id) const
-{
-    auto done = completed_errors_.find(instance_id);
-    if (done != completed_errors_.end())
-        return done->second;
-    auto live = instances_by_id_.find(instance_id);
-    return live != instances_by_id_.end() ? live->second->error : 0;
 }
 
 std::uint64_t
@@ -522,16 +484,14 @@ NdpController::completeInstance(KernelInstance *inst, Tick when)
     inst->phase = InstancePhase::Done;
     inst->finished_at = when;
     ++stats_.instances_completed;
-    if (inst->error < 0) [[unlikely]] {
+    if (inst->error < 0) [[unlikely]]
         ++stats_.instances_faulted;
-        completed_errors_.emplace(inst->id, inst->error);
-    }
-    completed_.emplace(inst->id, when);
+    completed_.emplace(inst->id, inst->error < 0 ? KernelStatus::Faulted
+                                                 : KernelStatus::Finished);
     instances_by_id_.erase(inst->id);
     spadFree(inst->spad_offset, inst->kernel->resources.scratchpad_bytes);
 
     auto cb = std::move(inst->on_complete);
-    auto observer = std::move(inst->on_complete_observer);
 
     auto it = std::find_if(active_.begin(), active_.end(),
                            [inst](const auto &p) { return p.get() == inst; });
@@ -542,9 +502,7 @@ NdpController::completeInstance(KernelInstance *inst, Tick when)
 
     admitPending();
     if (cb)
-        cb(when);
-    if (observer)
-        observer(when);
+        cb(inst->error < 0 ? inst->error : inst->id, when);
 }
 
 // --------------------------------------------------------------------------

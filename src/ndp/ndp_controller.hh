@@ -66,14 +66,6 @@ inline constexpr unsigned kM2FuncLaunchSlots = 56;
  */
 inline constexpr std::uint64_t kM2FuncLaunchSlotStride = 2;
 
-/**
- * Legacy error return value (Table II: ERR is a negative value). New
- * code signals failures with specific `NdpError` codes (common/error.hh);
- * kNdpErr remains as the catch-all, numerically NdpError::Unknown.
- */
-inline constexpr std::int64_t kNdpErr =
-    static_cast<std::int64_t>(NdpError::Unknown);
-
 /** Launch payload byte 0: synchronous-launch flag (Section III-B). */
 inline constexpr std::uint8_t kLaunchFlagSync = 0x1;
 /**
@@ -206,6 +198,14 @@ class NdpController
     // ---- direct (driver-level) API used by tests and host runtime ----
     std::int64_t registerKernel(Asid asid, const std::string &text,
                                 const KernelResources &res);
+
+    /**
+     * Queue a kernel instance. @return its id, or a negative NdpError if
+     * the launch is rejected — then @p on_complete is dropped uncalled.
+     * Otherwise @p on_complete fires exactly once, with the instance id
+     * or the instance's error, when it completes; a degenerate instance
+     * (e.g. an empty pool region) completes before launch() returns.
+     */
     std::int64_t launch(Asid asid, std::int64_t kernel_id, bool synchronous,
                         Addr pool_base, Addr pool_bound,
                         const std::uint8_t *args, std::uint32_t args_size,
@@ -226,12 +226,6 @@ class NdpController
     KernelStatus status(std::int64_t instance_id) const;
 
     /**
-     * Error code of a live or completed instance (a negative NdpError
-     * value; 0 for clean instances, unknown ids included).
-     */
-    std::int64_t instanceError(std::int64_t instance_id) const;
-
-    /**
      * uthreads spawned so far by a *live* instance in its current phase
      * (0 for unknown/completed ids). Fairness tests read this to measure
      * the issue share each tenant received from the weighted cursor.
@@ -247,13 +241,6 @@ class NdpController
      */
     void killInstance(KernelInstance *inst, std::int64_t code);
 
-    /**
-     * Attach a completion observer to a live instance; fires immediately
-     * (same tick) if the instance already finished. Used by the host
-     * runtime to model completion notification.
-     */
-    void onInstanceComplete(std::int64_t instance_id, InstanceCompleteFn cb);
-
     const NdpControllerStats &stats() const { return stats_; }
     unsigned activeInstances() const
     {
@@ -267,7 +254,8 @@ class NdpController
   private:
     struct ReturnSlot
     {
-        std::int64_t value = kNdpErr;
+        /** A slot read before any call wrote it has no result. */
+        std::int64_t value = static_cast<std::int64_t>(NdpError::Unknown);
         bool ready = true;
         std::vector<InlineCallback<void(std::int64_t)>> waiters;
     };
@@ -327,10 +315,9 @@ class NdpController
      */
     unsigned rr_credit_ = 0;
     std::unordered_map<std::int64_t, KernelInstance *> instances_by_id_;
-    /** Completed instance ids (for poll-after-completion). */
-    std::unordered_map<std::int64_t, Tick> completed_;
-    /** Error codes of completed-with-error instances (status/poll). */
-    std::unordered_map<std::int64_t, std::int64_t> completed_errors_;
+    /** Final status (Finished or Faulted) of completed instances, for
+     *  poll-after-completion. */
+    std::unordered_map<std::int64_t, KernelStatus> completed_;
 
     /** Work requeued by units (register-file pressure). */
     std::vector<std::vector<SpawnItem>> requeued_;

@@ -176,6 +176,37 @@ TEST_F(FaultTest, UnmappedAddressTrapSurfacesTypedError)
     EXPECT_TRUE(verifyVecAdd(*sys, *proc, buf));
 }
 
+TEST(SchemeErrors, KernelTrapSurfacesUnderEveryScheme)
+{
+    // The CXL.io baselines report a faulted instance exactly like the
+    // M2func deferred return read: with the instance's typed error. Two
+    // devices, launching on device 1, so the completion crosses from a
+    // device partition back to the host.
+    for (OffloadScheme scheme :
+         {OffloadScheme::M2Func, OffloadScheme::CxlIoRingBuffer,
+          OffloadScheme::CxlIoDirect}) {
+        SCOPED_TRACE(offloadSchemeName(scheme));
+        SystemConfig cfg;
+        cfg.num_devices = 2;
+        cfg.link = SystemConfig::linkForLoadToUse(150 * kNs);
+        System sys(cfg);
+        auto &proc = sys.createProcess();
+        NdpRuntimeConfig rtcfg;
+        rtcfg.scheme = scheme;
+        auto rt = sys.createRuntime(proc, rtcfg);
+        KernelResources scalar;
+        scalar.num_int_regs = 8;
+        std::int64_t kid = rt->registerKernel(kWildLoad, scalar);
+        ASSERT_GT(kid, 0);
+
+        NdpEvent ev = rt->createStream(1).launch(tinyLaunch(kid, proc));
+        EXPECT_EQ(ev.wait(),
+                  static_cast<std::int64_t>(NdpError::UnmappedAddress));
+        EXPECT_EQ(ev.error(), NdpError::UnmappedAddress);
+        EXPECT_EQ(sys.device(1).controller().stats().instances_faulted, 1u);
+    }
+}
+
 TEST_F(FaultTest, ScratchpadOverflowTrapSurfacesTypedError)
 {
     NdpStream &stream = rt->createStream();

@@ -6,6 +6,7 @@
  */
 
 #include <algorithm>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -400,8 +401,7 @@ TEST_F(IntegrationTest, PollAndStatusLifecycle)
     ASSERT_GT(done_iid, 0);
     EXPECT_EQ(ev.instanceId(), done_iid);
     EXPECT_EQ(runtime->pollKernelStatus(done_iid), KernelStatus::Finished);
-    EXPECT_EQ(runtime->pollKernelStatus(99999),
-              static_cast<KernelStatus>(kNdpErr));
+    EXPECT_EQ(runtime->pollKernelStatus(99999), KernelStatus::Unknown);
 }
 
 TEST_F(IntegrationTest, UnregisterAndErrors)
@@ -415,8 +415,24 @@ TEST_F(IntegrationTest, UnregisterAndErrors)
     // Launching an unregistered kernel fails.
     Addr a = process->allocate(4096);
     EXPECT_LT(runtime->launchKernelSync(LaunchDesc(kid, a, a + 4096)), 0);
-    // Unregistering twice fails.
-    EXPECT_LT(runtime->unregisterKernel(kid), 0);
+    // Unregistering twice fails, naming the failure.
+    EXPECT_EQ(runtime->unregisterKernel(kid),
+              static_cast<std::int64_t>(NdpError::InvalidKernel));
+
+    // The device's own M2func entry names it too, for an id it never
+    // registered.
+    NdpController &ctrl = sys->device().controller();
+    const std::uint64_t off =
+        static_cast<std::uint64_t>(M2Func::UnregisterKernel) * kM2FuncStride;
+    M2FuncPayload payload;
+    std::int64_t bogus = 12345;
+    std::memcpy(payload.bytes.data(), &bogus, sizeof(bogus));
+    payload.size = sizeof(bogus);
+    ctrl.handleWrite(process->asid(), off, payload);
+    std::int64_t ret = 0;
+    ctrl.handleRead(process->asid(), off,
+                    [&ret](std::int64_t v) { ret = v; });
+    EXPECT_EQ(ret, static_cast<std::int64_t>(NdpError::InvalidKernel));
 }
 
 TEST_F(IntegrationTest, TlbShootdownPath)

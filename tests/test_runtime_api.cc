@@ -603,5 +603,36 @@ TEST_F(StreamApiTest, BatchedCompactLaunchesShareOneStore)
         << "batched halves resolved to the same kernel instance";
 }
 
+TEST(EmptyPool, BodyOnlyKernelCompletesUnderEveryScheme)
+{
+    // An empty pool region gives the body phase no uthreads, so the
+    // instance completes inside NdpController::launch() itself. Every
+    // scheme must still report its instance id through one completion.
+    for (OffloadScheme scheme :
+         {OffloadScheme::M2Func, OffloadScheme::CxlIoRingBuffer,
+          OffloadScheme::CxlIoDirect}) {
+        SCOPED_TRACE(offloadSchemeName(scheme));
+        SystemConfig cfg;
+        cfg.link = SystemConfig::linkForLoadToUse(150 * kNs);
+        System sys(cfg);
+        auto &proc = sys.createProcess();
+        NdpRuntimeConfig rtcfg;
+        rtcfg.scheme = scheme;
+        auto rt = sys.createRuntime(proc, rtcfg);
+        KernelResources res;
+        res.num_int_regs = 8;
+        res.num_vector_regs = 4;
+        std::int64_t kid = rt->registerKernel(kVecAdd, res);
+        ASSERT_GT(kid, 0);
+
+        Addr pool = proc.allocate(4096);
+        NdpEvent ev = rt->createStream().launch(
+            LaunchDesc(kid, pool, pool).arg(0).arg(0));
+        EXPECT_GE(ev.wait(), 0);
+        EXPECT_EQ(ev.error(), NdpError::Ok);
+        EXPECT_EQ(sys.device().controller().stats().instances_completed, 1u);
+    }
+}
+
 } // namespace
 } // namespace m2ndp

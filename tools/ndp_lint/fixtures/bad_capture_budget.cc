@@ -17,15 +17,22 @@ struct InlineCallback
 
 using TickCallback = InlineCallback<void(long)>;
 using EventCallback = InlineCallback<void()>;
+using InstanceCompleteFn = InlineCallback<void(long, long)>;
 
 struct EventQueue
 {
     void schedule(long when, EventCallback cb) {}
 };
 
+struct Controller
+{
+    long launch(long kernel, InstanceCompleteFn on_complete) { return 0; }
+};
+
 struct Device
 {
     EventQueue eq;
+    Controller ctrl;
 
     void
     forwardCompletion(long now, TickCallback done)
@@ -37,6 +44,16 @@ struct Device
         // ~80 B estimated, far past the 48 B inline buffer.
         eq.schedule(now + 10, [this, pa, size, unit,
                                done = std::move(done)]() mutable {});
+    }
+
+    void
+    launchWithFatHook(long kernel, TickCallback done)
+    {
+        std::uint64_t pa = 0x3000;
+        // BAD: the kernel-instance completion hook handed to launch()
+        // carries a 56 B TickCallback plus a pointer and a scalar.
+        ctrl.launch(kernel, [this, pa, done = std::move(done)](long,
+                                                               long) {});
     }
 
     void

@@ -542,7 +542,7 @@ _INLINE_BUDGET = 48
 # Call sites whose callable argument lands in an InlineCallback.
 _SINK_RE = re.compile(
     r"\b(?:schedule|scheduleAfter|post|postToDeviceAt|postToHostAt|"
-    r"setPeerAccess|onInstanceComplete|onComplete|addCompletion|"
+    r"setPeerAccess|launch|onComplete|"
     r"respondThrough|makePacket|queueCompletion)\s*\(")
 
 # Assignment of a lambda to a declared-callback variable or member whose
