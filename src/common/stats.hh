@@ -31,6 +31,8 @@ class Histogram
     }
 
     std::size_t count() const { return samples_.size(); }
+    /** Samples the store holds before it next grows. */
+    std::size_t capacity() const { return samples_.capacity(); }
 
     double mean() const;
     double min() const;

@@ -863,7 +863,7 @@ NdpRuntime::cxlIoArrived(LaunchRecord *rec)
     // runtime/stream state is only touched back on the host side.
     DeviceState &dev = devs_[rec->device];
     std::int64_t iid = dev.port->device().controller().launch(
-        process_.asid(), deviceKernelId(dev, rec->desc.kernel()), false,
+        process_.asid(), deviceKernelId(dev, rec->desc.kernel()),
         rec->desc.poolBase(), rec->desc.poolBound(), rec->desc.argData(),
         rec->desc.argSize(), [rec](std::int64_t result, Tick) {
             rec->rt->cxlIoCompleted(rec, result);

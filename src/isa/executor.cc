@@ -145,8 +145,6 @@ StepResult
 execDecoded(UthreadContext &ctx, const DecodedInst &in,
             std::uint32_t code_size, MemoryIf &mem)
 {
-    ++ctx.instret;
-
     StepResult res;
     res.fu = in.fu;
     res.latency = in.latency;

@@ -4,13 +4,14 @@
  *
  * A kernel is registered once (ndpRegisterKernel) with its resource
  * declaration: scratchpad bytes and int/float/vector register counts, which
- * drive uthread-slot provisioning (Section III-D). Each launch creates a
- * KernelInstance bound to a uthread pool region; the instance walks through
- * phases: initializer -> body(s) -> finalizer (Section III-G).
+ * drive uthread-slot provisioning (Section III-D). Each launch takes a
+ * pooled KernelInstance bound to a uthread pool region; the instance walks
+ * through phases: initializer -> body(s) -> finalizer (Section III-G).
  */
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -67,7 +68,6 @@ enum class InstancePhase : std::uint8_t {
     Body,
     Finalizer,
     Draining,    ///< all uthreads done, posted stores still in flight
-    Done,
 };
 
 /** Status codes returned by ndpPollKernelStatus (Table II). */
@@ -81,17 +81,22 @@ enum class KernelStatus : std::int64_t {
     Unknown = -1,
 };
 
-/** One running (or queued) kernel launch. */
+/**
+ * One running (or queued) kernel launch: a record NdpController takes
+ * from its SlabPool at launch and returns at completion.
+ */
 struct KernelInstance
 {
+    /** Controller pending FIFO / pool freelist link. */
+    KernelInstance *next = nullptr;
     std::int64_t id = -1;
     const NdpKernel *kernel = nullptr;
     Asid asid = 0;
-    bool synchronous = false;
 
     Addr pool_base = 0;
     Addr pool_bound = 0;
-    std::vector<std::uint8_t> args;
+    /** The kernel-argument window (%args), zero past the launch's args. */
+    std::array<std::uint8_t, layout::kKernelArgWindow> args{};
 
     InstancePhase phase = InstancePhase::Pending;
     std::size_t section_index = 0; ///< current section in kernel->code
@@ -108,7 +113,7 @@ struct KernelInstance
     std::uint64_t spad_offset = 0;
 
     /** Spawn bookkeeping for the current phase. */
-    std::vector<std::uint64_t> next_work; ///< per-unit next work index
+    std::vector<std::uint64_t> next_work; ///< per unit; kept across reuse
     std::uint64_t spawned = 0;
     std::uint64_t completed = 0;
     std::uint64_t phase_target = 0;
@@ -124,23 +129,9 @@ struct KernelInstance
      */
     std::int64_t error = 0;
 
-    /** Launch/finish ticks for stats. */
-    Tick launched_at = 0;
-    Tick started_at = 0;
-    Tick finished_at = 0;
-
-    /** Total dynamic instructions executed by this instance's uthreads. */
-    std::uint64_t instructions = 0;
-
     /** Given to NdpController::launch; invoked once when the instance
-     *  reaches Done (possibly inside launch() for a degenerate one). */
+     *  completes (possibly inside launch() for a degenerate one). */
     InstanceCompleteFn on_complete;
-
-    bool
-    isActive() const
-    {
-        return phase != InstancePhase::Pending && phase != InstancePhase::Done;
-    }
 };
 
 } // namespace m2ndp

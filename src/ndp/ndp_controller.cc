@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/annotations.hh"
 #include "common/log.hh"
 
 namespace m2ndp {
@@ -9,6 +10,7 @@ namespace m2ndp {
 NdpController::NdpController(NdpControllerEnv &env, Config cfg)
     : env_(env), cfg_(cfg), requeued_(env.numUnits())
 {
+    active_.reserve(cfg_.max_concurrent_instances);
     // Whole per-unit scratchpad data space starts free.
     spad_free_[0] = env_.unitScratchpadBytes();
 }
@@ -34,9 +36,11 @@ NdpController::resolveReturn(Asid asid, std::uint64_t fn_index,
     slot.value = value;
     slot.ready = true;
     auto waiters = std::move(slot.waiters);
-    slot.waiters.clear();
     for (auto &w : waiters)
         w(value);
+    waiters.clear();
+    if (slot.waiters.empty()) // hand the capacity back for the next read
+        slot.waiters = std::move(waiters);
 }
 
 void
@@ -110,8 +114,8 @@ NdpController::launchParsed(Asid asid, std::uint64_t fn_index, bool sync,
             resolveReturn(asid, fn_index, result);
         };
     }
-    std::int64_t iid = launch(asid, kernel_id, sync, base, bound, args,
-                              args_size, std::move(on_complete), weight);
+    std::int64_t iid = launch(asid, kernel_id, base, bound, args, args_size,
+                              std::move(on_complete), weight);
     // A typed rejection code, or an asynchronous launch's id, is ready now.
     if (iid < 0 || !sync)
         resolveReturn(asid, fn_index, iid);
@@ -260,11 +264,12 @@ NdpController::kernelById(std::int64_t id) const
     return it == kernels_.end() ? nullptr : it->second.get();
 }
 
+M2NDP_HOT_PATH
 std::int64_t
-NdpController::launch(Asid asid, std::int64_t kernel_id, bool synchronous,
-                      Addr pool_base, Addr pool_bound,
-                      const std::uint8_t *args, std::uint32_t args_size,
-                      InstanceCompleteFn on_complete, unsigned weight)
+NdpController::launch(Asid asid, std::int64_t kernel_id, Addr pool_base,
+                      Addr pool_bound, const std::uint8_t *args,
+                      std::uint32_t args_size, InstanceCompleteFn on_complete,
+                      unsigned weight)
 {
     auto kit = kernels_.find(kernel_id);
     if (kit == kernels_.end() || kit->second->asid != asid) {
@@ -281,49 +286,59 @@ NdpController::launch(Asid asid, std::int64_t kernel_id, bool synchronous,
         return static_cast<std::int64_t>(NdpError::BadPoolRegion);
     }
 
-    auto inst = std::make_unique<KernelInstance>();
+    // A recycled record holds its last launch's state: reset what is read
+    // before admitPending and beginPhase set the rest.
+    KernelInstance *inst = instance_pool_.acquire();
     inst->id = next_instance_id_++;
     inst->kernel = kit->second.get();
     inst->asid = asid;
-    inst->synchronous = synchronous;
     inst->pool_base = pool_base;
     inst->pool_bound = pool_bound;
-    inst->args.assign(args, args + args_size);
-    inst->args.resize(layout::kKernelArgWindow, 0);
+    std::size_t n = std::min<std::size_t>(args_size, inst->args.size());
+    std::fill(std::copy_n(args, n, inst->args.begin()), inst->args.end(), 0);
     inst->phase = InstancePhase::Pending;
     inst->weight = static_cast<std::uint8_t>(
         weight == 0 ? 1 : std::min<unsigned>(weight, 255));
-    inst->launched_at = env_.eventQueue().now();
-    inst->on_complete = std::move(on_complete);
     inst->next_work.assign(env_.numUnits(), 0);
+    inst->error = 0;
+    inst->on_complete = std::move(on_complete);
 
     ++stats_.launches;
     std::int64_t id = inst->id;
-    instances_by_id_.emplace(id, inst.get());
-    pending_.push_back(std::move(inst));
+    // Intrusive FIFO: links through KernelInstance::next, allocates
+    // nothing. ndp-lint: allow(hotpath-alloc)
+    pending_.push_back(inst);
     admitPending();
     return id;
+}
+
+KernelInstance *
+NdpController::activeById(std::int64_t id) const
+{
+    for (KernelInstance *inst : active_)
+        if (inst->id == id)
+            return inst;
+    return nullptr;
 }
 
 KernelStatus
 NdpController::status(std::int64_t instance_id) const
 {
-    auto done = completed_.find(instance_id);
-    if (done != completed_.end())
-        return done->second;
-    auto it = instances_by_id_.find(instance_id);
-    if (it == instances_by_id_.end())
+    if (instance_id <= 0 || instance_id >= next_instance_id_)
         return KernelStatus::Unknown;
-    return it->second->phase == InstancePhase::Pending
-               ? KernelStatus::Pending
-               : KernelStatus::Running;
+    if (!pending_.empty() && instance_id >= pending_.front()->id)
+        return KernelStatus::Pending;
+    if (activeById(instance_id) != nullptr)
+        return KernelStatus::Running;
+    return faulted_ids_.count(instance_id) != 0 ? KernelStatus::Faulted
+                                                : KernelStatus::Finished;
 }
 
 std::uint64_t
 NdpController::instanceSpawned(std::int64_t instance_id) const
 {
-    auto live = instances_by_id_.find(instance_id);
-    return live != instances_by_id_.end() ? live->second->spawned : 0;
+    KernelInstance *inst = activeById(instance_id);
+    return inst != nullptr ? inst->spawned : 0;
 }
 
 void
@@ -335,55 +350,52 @@ NdpController::admitPending()
             spadAllocate(pending_.front()->kernel->resources.scratchpad_bytes);
         if (!spad)
             return; // wait for scratchpad space to free up
-        auto inst = std::move(pending_.front());
-        pending_.pop_front();
+        KernelInstance *inst = pending_.pop_front();
         inst->spad_offset = *spad;
-        activate(std::move(inst));
+        activate(inst);
     }
 }
 
 void
-NdpController::activate(std::unique_ptr<KernelInstance> inst)
+NdpController::activate(KernelInstance *inst)
 {
-    KernelInstance *p = inst.get();
-    active_.push_back(std::move(inst));
-    p->started_at = env_.eventQueue().now();
+    active_.push_back(inst);
 
-    const auto &sections = p->kernel->code.sections;
+    const auto &sections = inst->kernel->code.sections;
     M2_ASSERT(!sections.empty(), "kernel with no sections");
 
     // Arm the watchdog before the first phase begins: beginPhase can
-    // complete a degenerate instance synchronously, and a one-shot
-    // check by id is naturally idempotent against that.
+    // complete a degenerate instance synchronously. The check captures
+    // the id, never the record: records are pooled, so by the time the
+    // budget expires this one may run another launch under a new id.
     if (cfg_.watchdog_budget > 0) {
-        std::int64_t id = p->id;
+        std::int64_t id = inst->id;
         env_.eventQueue().scheduleAfter(cfg_.watchdog_budget, [this, id] {
-            auto it = instances_by_id_.find(id);
-            if (it == instances_by_id_.end())
+            KernelInstance *live = activeById(id);
+            if (live == nullptr)
                 return; // already completed
             ++stats_.watchdog_kills;
-            killInstance(it->second,
-                         static_cast<std::int64_t>(
-                             NdpError::WatchdogTimeout));
+            killInstance(live, static_cast<std::int64_t>(
+                                   NdpError::WatchdogTimeout));
         });
     }
 
     if (sections.front().kind == isa::SectionKind::Initializer)
-        beginPhase(p, InstancePhase::Initializer, 0);
+        beginPhase(inst, InstancePhase::Initializer, 0);
     else
-        beginPhase(p, InstancePhase::Body, 0);
+        beginPhase(inst, InstancePhase::Body, 0);
     env_.wakeAllUnits();
 }
 
 void
 NdpController::killInstance(KernelInstance *inst, std::int64_t code)
 {
-    if (inst->phase == InstancePhase::Done)
-        return;
-    M2_ASSERT(inst->isActive(),
+    M2_ASSERT(inst->phase != InstancePhase::Pending,
               "killInstance on a non-activated instance ", inst->id);
-    if (inst->error == 0)
+    if (inst->error == 0) {
         inst->error = code;
+        faulted_ids_.insert(inst->id);
+    }
 
     // Purge spawn items bounced back by register pressure: they were
     // counted as spawned but will never run, so credit them as completed
@@ -478,31 +490,27 @@ NdpController::maybeAdvancePhase(KernelInstance *inst)
         completeInstance(inst, env_.eventQueue().now());
 }
 
+M2NDP_HOT_PATH
 void
 NdpController::completeInstance(KernelInstance *inst, Tick when)
 {
-    inst->phase = InstancePhase::Done;
-    inst->finished_at = when;
     ++stats_.instances_completed;
     if (inst->error < 0) [[unlikely]]
         ++stats_.instances_faulted;
-    completed_.emplace(inst->id, inst->error < 0 ? KernelStatus::Faulted
-                                                 : KernelStatus::Finished);
-    instances_by_id_.erase(inst->id);
     spadFree(inst->spad_offset, inst->kernel->resources.scratchpad_bytes);
 
     auto cb = std::move(inst->on_complete);
+    std::int64_t result = inst->error < 0 ? inst->error : inst->id;
 
-    auto it = std::find_if(active_.begin(), active_.end(),
-                           [inst](const auto &p) { return p.get() == inst; });
+    // Erase in place: the round-robin order of the others is unchanged.
+    auto it = std::find(active_.begin(), active_.end(), inst);
     M2_ASSERT(it != active_.end(), "completing unknown instance");
-    // Keep the instance alive through the callbacks.
-    auto holder = std::move(*it);
     active_.erase(it);
+    instance_pool_.release(inst);
 
     admitPending();
     if (cb)
-        cb(inst->error < 0 ? inst->error : inst->id, when);
+        cb(result, when);
 }
 
 // --------------------------------------------------------------------------
@@ -545,9 +553,8 @@ NdpController::pullWork(unsigned unit)
     for (std::size_t k = 0; k < n; ++k, ++idx) {
         if (idx >= n)
             idx = 0;
-        KernelInstance *inst = active_[idx].get();
-        if (!inst->isActive() || inst->phase == InstancePhase::Draining ||
-            inst->error < 0)
+        KernelInstance *inst = active_[idx];
+        if (inst->phase == InstancePhase::Draining || inst->error < 0)
             continue;
         const auto &section =
             inst->kernel->decoded.sections[inst->section_index];

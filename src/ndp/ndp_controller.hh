@@ -17,15 +17,17 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/error.hh"
+#include "common/intrusive_fifo.hh"
+#include "common/slab_pool.hh"
 #include "common/units.hh"
 #include "isa/assembler.hh"
 #include "ndp/kernel.hh"
@@ -206,23 +208,13 @@ class NdpController
      * or the instance's error, when it completes; a degenerate instance
      * (e.g. an empty pool region) completes before launch() returns.
      */
-    std::int64_t launch(Asid asid, std::int64_t kernel_id, bool synchronous,
+    std::int64_t launch(Asid asid, std::int64_t kernel_id,
                         Addr pool_base, Addr pool_bound,
                         const std::uint8_t *args, std::uint32_t args_size,
                         InstanceCompleteFn on_complete = {},
                         unsigned weight = 1);
 
-    /** Convenience overload for tests/drivers holding args in a vector. */
-    std::int64_t
-    launch(Asid asid, std::int64_t kernel_id, bool synchronous,
-           Addr pool_base, Addr pool_bound,
-           const std::vector<std::uint8_t> &args,
-           InstanceCompleteFn on_complete = {})
-    {
-        return launch(asid, kernel_id, synchronous, pool_base, pool_bound,
-                      args.data(), static_cast<std::uint32_t>(args.size()),
-                      std::move(on_complete));
-    }
+    /** Admission is strict FIFO in id order: no per-id table needed. */
     KernelStatus status(std::int64_t instance_id) const;
 
     /**
@@ -257,6 +249,7 @@ class NdpController
         /** A slot read before any call wrote it has no result. */
         std::int64_t value = static_cast<std::int64_t>(NdpError::Unknown);
         bool ready = true;
+        /** Deferred reads; the buffer keeps its capacity across them. */
         std::vector<InlineCallback<void(std::int64_t)>> waiters;
     };
 
@@ -284,7 +277,9 @@ class NdpController
 
     /** Try to move pending launches into the active set. */
     void admitPending();
-    void activate(std::unique_ptr<KernelInstance> inst);
+    void activate(KernelInstance *inst);
+    /** The active instance with @p id, or nullptr (at most 48 entries). */
+    KernelInstance *activeById(std::int64_t id) const;
     void beginPhase(KernelInstance *inst, InstancePhase phase,
                     std::size_t section_index);
     void maybeAdvancePhase(KernelInstance *inst);
@@ -303,8 +298,11 @@ class NdpController
     std::int64_t next_instance_id_ = 1;
     std::unordered_map<std::int64_t, std::unique_ptr<NdpKernel>> kernels_;
 
-    std::deque<std::unique_ptr<KernelInstance>> pending_;
-    std::vector<std::unique_ptr<KernelInstance>> active_;
+    /** Kernel-instance records, recycled across launches. */
+    SlabPool<KernelInstance> instance_pool_;
+    IntrusiveFifo<KernelInstance> pending_;
+    /** Admitted instances in admission order (reserved at construction). */
+    std::vector<KernelInstance *> active_;
     /** Round-robin cursor over active_ for pullWork fairness. */
     std::size_t rr_instance_ = 0;
     /**
@@ -314,10 +312,8 @@ class NdpController
      * strict RR — existing workloads stay bit-exact.
      */
     unsigned rr_credit_ = 0;
-    std::unordered_map<std::int64_t, KernelInstance *> instances_by_id_;
-    /** Final status (Finished or Faulted) of completed instances, for
-     *  poll-after-completion. */
-    std::unordered_map<std::int64_t, KernelStatus> completed_;
+    /** Ids of instances killed by a trap or the watchdog. */
+    std::unordered_set<std::int64_t> faulted_ids_;
 
     /** Work requeued by units (register-file pressure). */
     std::vector<std::vector<SpawnItem>> requeued_;

@@ -98,12 +98,7 @@ NdpUnit::spadPointer(Addr va, unsigned size)
     if (va >= layout::kKernelArgVa &&
         va + size <= layout::kKernelArgVa + layout::kKernelArgWindow) {
         // Argument window: per-instance buffer (top 256 B of the window).
-        std::uint64_t off = va - layout::kKernelArgVa;
-        // Arg buffer grows to the <= 256 B window once per instance on
-        // first touch, then stays.
-        if (inst->args.size() < off + size)
-            inst->args.resize(off + size, 0); // ndp-lint: allow(hotpath-alloc)
-        return inst->args.data() + off;
+        return inst->args.data() + (va - layout::kKernelArgVa);
     }
 
     std::uint64_t off = va - layout::kScratchpadVaBase;
@@ -355,14 +350,11 @@ NdpUnit::trySpawn(SubCore &sc, Tick now)
                           need.num_float_regs, need.num_vector_regs);
         slot.ctx.x[1] = item->x1;
         slot.ctx.x[2] = item->x2;
-        slot.ctx.mapped_addr = item->x1;
-        slot.ctx.mapped_offset = item->x2;
         slot.instance = item->instance;
         slot.section = item->section;
         slot.ready_at = now + cfg_.period; // spawn takes one cycle
         slot.outstanding_loads = 0;
         slot.finish_pending = false;
-        slot.issued_insts = 0;
         ++live_slots_;
         --sc.idle_count;
         sc.idle_mask &= ~(std::uint64_t(1) << idx);
@@ -473,8 +465,6 @@ NdpUnit::issueOne(unsigned sc_idx, SubCore &sc, Tick now, bool new_cycle,
 
         if (trap_code < 0) [[unlikely]] {
             KernelInstance *inst = slot.instance;
-            if (inst->error == 0)
-                inst->error = trap_code;
             sc.rr_next = uidx + 1 == n ? 0 : uidx + 1;
             sc.sched.removeReady(uidx);
             // Kill first (stops further spawns), then retire: the
@@ -487,11 +477,8 @@ NdpUnit::issueOne(unsigned sc_idx, SubCore &sc, Tick now, bool new_cycle,
         }
 
         // Per-issue stat writes hoisted into per-burst accumulators (see
-        // flushIssueStats) and a per-slot counter flushed at retirement:
-        // two unit-local increments on the issue path instead of four
-        // spread over stats_ and the shared KernelInstance.
+        // flushIssueStats).
         ++acc_instructions_;
-        ++slot.issued_insts;
         if (next_inst.is_vector)
             ++acc_vector_instructions_;
 
@@ -743,10 +730,6 @@ NdpUnit::finishThread(SubCore &sc, Slot &slot)
 {
     sc.reg_bytes_used -= slot.instance->kernel->resources.registerBytes();
     KernelInstance *inst = slot.instance;
-    // Flush the uthread's dynamic-instruction count into the instance
-    // exactly once, at retirement (see Slot::issued_insts).
-    inst->instructions += slot.issued_insts;
-    slot.issued_insts = 0;
     sc.sched.remove(slot.index); // idempotent; no-op for WaitMem finishes
     slot.state = SlotState::Idle;
     slot.instance = nullptr;

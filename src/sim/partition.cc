@@ -137,8 +137,10 @@ bool
 SimDomain::driveStep()
 {
     for (;;) {
-        if (!round_active_ && !beginRound(kTickMax))
-            return false; // globally idle
+        if (!round_active_ && !beginRound(kTickMax)) {
+            syncIdleClocks();
+            return false;
+        }
         if (!devices_done_) {
             if (executors_ > 1) {
                 devices_done_ = true;
@@ -193,8 +195,20 @@ SimDomain::driveRun(Tick limit)
         for (EventQueue *q : queues_)
             if (q->now_ < limit && q->nextEventTick() > limit)
                 q->now_ = limit;
+    } else {
+        syncIdleClocks();
     }
     return executed;
+}
+
+void
+SimDomain::syncIdleClocks()
+{
+    Tick latest = 0;
+    for (EventQueue *q : queues_)
+        latest = std::max(latest, q->now_);
+    for (EventQueue *q : queues_)
+        q->now_ = latest;
 }
 
 bool

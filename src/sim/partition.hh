@@ -173,6 +173,13 @@ class SimDomain : public SimDriver
      */
     bool beginRound(Tick limit);
 
+    /**
+     * Serial-engine parity once globally idle: every partition's clock
+     * moves up to the latest one, so a late event on one partition (say,
+     * a stale watchdog check) cannot leave it ahead of the others.
+     */
+    void syncIdleClocks();
+
     /** Run all device windows up to @p cap; returns events executed. */
     std::uint64_t runDeviceWindows(Tick cap);
 

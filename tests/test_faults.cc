@@ -314,6 +314,164 @@ TEST_F(WatchdogTest, RetriedWatchdogKillBacksOffAndCountsAttempts)
     EXPECT_TRUE(verifyVecAdd(*sys, *proc, buf));
 }
 
+TEST_F(WatchdogTest, IdleDomainKeepsOneClockAfterStaleWatchdog)
+{
+    // A kernel that ends long before its budget leaves its watchdog check
+    // pending on the device partition. Running the domain dry fires that
+    // stale check; the run must still end with one clock, or the device
+    // stays 100 us ahead and the next host launch posts into its past.
+    KernelResources res;
+    res.num_int_regs = 4;
+    std::int64_t nop_kid = rt->registerKernel("nop\n", res);
+    ASSERT_GT(nop_kid, 0);
+    Addr pool = proc->allocate(4096);
+    NdpStream &stream = rt->createStream();
+
+    EXPECT_GT(stream.launch(LaunchDesc(nop_kid, pool, pool + 32)).wait(), 0);
+    sys->eq().run();
+    EXPECT_EQ(sys->eq().now(), sys->deviceQueue().now());
+    EXPECT_GT(stream.launch(LaunchDesc(nop_kid, pool, pool + 32)).wait(), 0);
+
+    // The same when single steps drain the domain instead.
+    EXPECT_GT(stream.launch(LaunchDesc(nop_kid, pool, pool + 32)).wait(), 0);
+    while (sys->eq().step()) {
+    }
+    EXPECT_EQ(sys->eq().now(), sys->deviceQueue().now());
+    EXPECT_GT(stream.launch(LaunchDesc(nop_kid, pool, pool + 32)).wait(), 0);
+
+    // And after a driver-level launch at the controller.
+    NdpController &ctrl = sys->device().controller();
+    EXPECT_GT(
+        ctrl.launch(proc->asid(), nop_kid, pool, pool + 32, nullptr, 0), 0);
+    sys->eq().run();
+    EXPECT_EQ(sys->eq().now(), sys->deviceQueue().now());
+    EXPECT_GT(stream.launch(LaunchDesc(nop_kid, pool, pool + 32)).wait(), 0);
+    EXPECT_EQ(ctrl.stats().watchdog_kills, 0u);
+}
+
+// -------------------------------------------------------------------------
+// Pooled kernel-instance records: status by id, and safe record reuse.
+// -------------------------------------------------------------------------
+
+/** Two concurrent instances at most, and a watchdog budget. */
+class PooledInstanceTest : public FaultTest
+{
+  protected:
+    static constexpr Tick kBudget = 100 * kUs;
+
+    void
+    configure(SystemConfig &cfg) override
+    {
+        cfg.device.controller.max_concurrent_instances = 2;
+        cfg.device.controller.watchdog_budget = kBudget;
+    }
+
+    void
+    SetUp() override
+    {
+        FaultTest::SetUp();
+        KernelResources res;
+        res.num_int_regs = 4;
+        nop_kid = rt->registerKernel("nop\n", res);
+        ASSERT_GT(nop_kid, 0);
+        spin_kid = rt->registerKernel(kSpin, res);
+        ASSERT_GT(spin_kid, 0);
+        pool = proc->allocate(4096);
+    }
+
+    /** Driver-level launch of a one-uthread instance. */
+    std::int64_t
+    launchOne(std::int64_t kid, InstanceCompleteFn done = {})
+    {
+        return sys->device().controller().launch(
+            proc->asid(), kid, pool, pool + 32, nullptr, 0, std::move(done));
+    }
+
+    std::int64_t nop_kid = 0;
+    std::int64_t spin_kid = 0;
+    Addr pool = 0;
+};
+
+TEST_F(PooledInstanceTest, StatusLifecycle)
+{
+    NdpController &ctrl = sys->device().controller();
+    std::int64_t bad = launchOne(wild_kid);
+    std::int64_t good = launchOne(nop_kid);
+    std::int64_t queued = launchOne(nop_kid); // past the 2-instance limit
+    ASSERT_GT(bad, 0);
+    ASSERT_EQ(good, bad + 1);
+    ASSERT_EQ(queued, good + 1);
+    EXPECT_EQ(ctrl.activeInstances(), 2u);
+    EXPECT_EQ(ctrl.queuedLaunches(), 1u);
+
+    EXPECT_EQ(ctrl.status(bad), KernelStatus::Running);
+    EXPECT_EQ(ctrl.status(good), KernelStatus::Running);
+    EXPECT_EQ(ctrl.status(queued), KernelStatus::Pending);
+    // Never-issued ids: 0, a negative id, and the next id to be issued.
+    EXPECT_EQ(ctrl.status(0), KernelStatus::Unknown);
+    EXPECT_EQ(ctrl.status(-7), KernelStatus::Unknown);
+    EXPECT_EQ(ctrl.status(queued + 1), KernelStatus::Unknown);
+
+    sys->eq().run();
+    EXPECT_EQ(ctrl.status(bad), KernelStatus::Faulted);
+    EXPECT_EQ(ctrl.status(good), KernelStatus::Finished);
+    EXPECT_EQ(ctrl.status(queued), KernelStatus::Finished);
+    EXPECT_EQ(ctrl.status(queued + 1), KernelStatus::Unknown);
+    EXPECT_EQ(ctrl.stats().instances_faulted, 1u);
+}
+
+TEST_F(PooledInstanceTest, CleanLaunchReusingFaultedRecordKeepsItsOwnId)
+{
+    // The faulted instance's record is the freelist head, so the next
+    // launch reuses it: none of the fault may carry over.
+    NdpController &ctrl = sys->device().controller();
+    std::int64_t bad_result = 0;
+    std::int64_t bad = launchOne(
+        wild_kid, [&bad_result](std::int64_t r, Tick) { bad_result = r; });
+    ASSERT_GT(bad, 0);
+    sys->eq().run();
+    EXPECT_EQ(bad_result, static_cast<std::int64_t>(NdpError::UnmappedAddress));
+    EXPECT_EQ(ctrl.status(bad), KernelStatus::Faulted);
+
+    std::int64_t good_result = 0;
+    std::int64_t good = launchOne(
+        nop_kid, [&good_result](std::int64_t r, Tick) { good_result = r; });
+    ASSERT_GT(good, bad);
+    sys->eq().run();
+    EXPECT_EQ(good_result, good);
+    EXPECT_EQ(ctrl.status(good), KernelStatus::Finished);
+    EXPECT_EQ(ctrl.status(bad), KernelStatus::Faulted);
+    EXPECT_EQ(ctrl.stats().instances_faulted, 1u);
+}
+
+TEST_F(PooledInstanceTest, StaleWatchdogCheckSparesReusedRecord)
+{
+    // A finishes at once; its watchdog check stays pending. B reuses A's
+    // record and spins. A's check fires at its own budget and must find
+    // nothing to kill: B dies at B's budget, by the one watchdog kill.
+    NdpController &ctrl = sys->device().controller();
+    Tick t0 = sys->deviceQueue().now();
+    std::int64_t a = launchOne(nop_kid);
+    ASSERT_GT(a, 0);
+    sys->eq().run(t0 + kBudget / 2);
+    ASSERT_EQ(ctrl.status(a), KernelStatus::Finished);
+
+    Tick t1 = sys->deviceQueue().now();
+    std::int64_t b_result = 0;
+    Tick b_done = 0;
+    std::int64_t b = launchOne(spin_kid, [&](std::int64_t r, Tick t) {
+        b_result = r;
+        b_done = t;
+    });
+    ASSERT_GT(b, a);
+    sys->eq().run();
+    EXPECT_EQ(b_result, static_cast<std::int64_t>(NdpError::WatchdogTimeout));
+    EXPECT_EQ(ctrl.stats().watchdog_kills, 1u);
+    EXPECT_GE(b_done, t1 + kBudget) << "A's stale check killed B early";
+    EXPECT_EQ(ctrl.status(b), KernelStatus::Faulted);
+    EXPECT_EQ(ctrl.status(a), KernelStatus::Finished);
+}
+
 // -------------------------------------------------------------------------
 // Stream policies: what a launch error does to the rest of the stream.
 // -------------------------------------------------------------------------

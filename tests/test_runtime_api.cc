@@ -313,13 +313,13 @@ TEST_F(StreamApiTest, MultiDeviceStreamRouting)
     }
 }
 
-TEST_F(StreamApiTest, WarmLaunchBurstIsAllocationFreeOnHostPath)
+TEST_F(StreamApiTest, WarmLaunchBurstIsAllocationFree)
 {
-    // The synchronous part of NdpStream::launch — record setup, M2func
-    // slot assignment, payload pack, host-port write+read issue, event
-    // scheduling — must not touch the heap once pools are warm. (Device-
-    // side per-launch bookkeeping runs later, inside the simulation, and
-    // is covered by tests/test_alloc.cc.)
+    // A warm launch burst must not touch the heap end to end: the
+    // NdpStream::launch calls (record setup, M2func slot assignment,
+    // payload pack, host-port write+read issue, event scheduling), the
+    // simulation that runs them (controller spawn from pooled instance
+    // records, deferred M2func return reads) and a synchronous launch.
     constexpr unsigned kStreams = 4;
     constexpr unsigned kPerStream = 8;
     Buffers buf = makeBuffers(*sys, *proc, 256);
@@ -351,18 +351,20 @@ TEST_F(StreamApiTest, WarmLaunchBurstIsAllocationFreeOnHostPath)
     burst(ok);
     ASSERT_TRUE(ok);
 
-    // Measured burst: the launch calls themselves must allocate nothing.
+    // Measured burst: launches, their simulation and one synchronous
+    // launch must allocate nothing.
     events.clear();
     std::uint64_t before = allocationCount();
     for (unsigned i = 0; i < kStreams * kPerStream; ++i) {
         events.push_back(
             streams[i % kStreams]->launch(vecAddLaunch(kid, buf)));
     }
-    std::uint64_t after = allocationCount();
-    EXPECT_EQ(after - before, 0u)
-        << "warm stream launches touched the heap on the host path";
-
     rt->synchronize();
+    std::int64_t sync_iid = rt->launchKernelSync(vecAddLaunch(kid, buf));
+    std::uint64_t after = allocationCount();
+    EXPECT_EQ(after - before, 0u) << "warm launch burst touched the heap";
+
+    EXPECT_GT(sync_iid, 0);
     for (auto &ev : events) {
         EXPECT_TRUE(ev.done());
         EXPECT_GT(ev.instanceId(), 0);
