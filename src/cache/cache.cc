@@ -117,8 +117,7 @@ Cache::allocLine(Addr line_addr, Tick now)
                 sendDownstream(MemOp::Write,
                                victim->tag + static_cast<Addr>(s) *
                                                  cfg_.sector_bytes,
-                               cfg_.sector_bytes, MemSource::NdpUnit, now,
-                               {});
+                               cfg_.sector_bytes, now, {});
             }
         }
     }
@@ -205,12 +204,11 @@ Cache::mshrErase(Mshr *m)
 
 M2NDP_HOT_PATH
 void
-Cache::sendDownstream(MemOp op, Addr addr, std::uint32_t size,
-                      MemSource source, Tick at, TickCallback cb)
+Cache::sendDownstream(MemOp op, Addr addr, std::uint32_t size, Tick at,
+                      TickCallback cb)
 {
     stats_.bytes_downstream += size;
-    downstream_.receive(
-        makePacket(op, addr, size, source, at, std::move(cb)), at);
+    downstream_.receive(makePacket(op, addr, size, std::move(cb)), at);
 }
 
 M2NDP_HOT_PATH
@@ -340,7 +338,6 @@ Cache::lookupAt(MemPacketPtr pkt, Tick done_tick)
         if (forward) {
             pkt->addr = sector_addr;
             pkt->size = cfg_.sector_bytes;
-            pkt->issued_at = now;
             stats_.bytes_downstream += cfg_.sector_bytes;
             downstream_.receive(std::move(pkt), now);
         }

@@ -212,8 +212,8 @@ class Cache : public MemPort
             ++lru_clock_;
     }
 
-    void sendDownstream(MemOp op, Addr addr, std::uint32_t size,
-                        MemSource source, Tick at, TickCallback cb);
+    void sendDownstream(MemOp op, Addr addr, std::uint32_t size, Tick at,
+                        TickCallback cb);
 
     EventQueue &eq_;
     CacheConfig cfg_;

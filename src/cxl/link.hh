@@ -32,7 +32,6 @@ struct CxlLinkConfig
     double bandwidth_gbps = 64.0; ///< per direction, GB/s
     Tick oneway_latency = 35000;  ///< stack + wire, one direction (35 ns)
     std::uint32_t req_header_bytes = 16; ///< M2S Req / S2M NDR size
-    std::uint32_t data_bytes = 64;       ///< payload granularity
 };
 
 /** Per-direction traffic statistics. */
@@ -172,15 +171,12 @@ class CxlLink
  */
 struct CxlIoConfig
 {
-    Tick oneway_latency = 500 * kNs; ///< y in Fig. 5
     /**
-     * Extra host-side latency of the ring-buffer scheme on top of link
-     * round trips: user->kernel transition, ring manipulation, doorbell.
-     * Fig. 5b charges 8 one-way trips total for launch + error check.
+     * y in Fig. 5. The schemes' trip counts are fixed by the figure and
+     * live in the runtime: ring buffer 5y launch + 3y error check
+     * (Fig. 5b), direct MMIO 2y launch + y completion (Fig. 5c).
      */
-    unsigned ringbuffer_oneways = 8;
-    /** Fig. 5c: direct MMIO doorbell launch costs 3 one-way trips. */
-    unsigned direct_oneways = 3;
+    Tick oneway_latency = 500 * kNs;
     /** Completion-poll cost over PCIe (2-3 us per Section II-C). */
     Tick poll_latency = 2 * kUs;
 };

@@ -267,8 +267,7 @@ CxlMemoryExpander::unitMemAccess(unsigned unit, MemOp op, Addr pa,
     // (the UnitPort adapter books the response crossbar).
     auto launch = [this, unit, op, pa, size,
                    done = std::move(done)]() mutable {
-        l1d_[unit]->receive(makePacket(op, pa, size, MemSource::NdpUnit,
-                                       eq_.now(), std::move(done)),
+        l1d_[unit]->receive(makePacket(op, pa, size, std::move(done)),
                             eq_.now());
     };
     if (bi_delay > 0)
@@ -293,10 +292,9 @@ CxlMemoryExpander::respXbarHop(MemPacket &, Tick t, void *ctx,
 void
 CxlMemoryExpander::respondVia(unsigned resp_port, std::uint32_t xbar_size,
                               MemOp op, Addr pa, std::uint32_t size,
-                              MemSource source, TickCallback done)
+                              TickCallback done)
 {
-    MemPacketPtr pkt =
-        makePacket(op, pa, size, source, eq_.now(), std::move(done));
+    MemPacketPtr pkt = makePacket(op, pa, size, std::move(done));
     pkt->pushHop(&CxlMemoryExpander::respXbarHop, this,
                  std::uint64_t(resp_port) | (std::uint64_t(xbar_size) << 32),
                  0);
@@ -307,8 +305,7 @@ void
 CxlMemoryExpander::peerMemAccess(MemOp op, Addr pa, std::uint32_t size,
                                  TickCallback done)
 {
-    respondVia(peerRespPort(cfg_), size, op, pa, size, MemSource::Peer,
-               std::move(done));
+    respondVia(peerRespPort(cfg_), size, op, pa, size, std::move(done));
 }
 
 // --------------------------------------------------------------------------
@@ -331,16 +328,10 @@ CxlMemoryExpander::cxlWrite(Addr hpa, const void *data, std::uint32_t size,
         // controller handles them. The event captures only the node
         // pointer (fits the inline buffer).
         mem_.write(hpa, data, size);
-        if (size > M2FuncPayload::kMaxBytes) {
-            // The controller only ever sees the staged (clamped) copy, so
-            // the oversize diagnostic must fire here.
-            M2_WARN("M2func payload exceeds 64 B; truncating semantics");
-        }
         Asid asid = match->asid;
         std::uint64_t offset = match->offset;
         PayloadNode *node = payload_pool_.acquire();
-        node->payload.size = static_cast<std::uint8_t>(
-            std::min<std::uint32_t>(size, M2FuncPayload::kMaxBytes));
+        node->payload.size = static_cast<std::uint8_t>(size);
         std::memcpy(node->payload.bytes.data(), data, node->payload.size);
         if (offset / kM2FuncStride >= kM2FuncLaunchSlotBase &&
             (node->payload.bytes[0] & kLaunchFlagCompact) &&
@@ -359,7 +350,7 @@ CxlMemoryExpander::cxlWrite(Addr hpa, const void *data, std::uint32_t size,
     ++dstats_.host_writes;
     mem_.write(hpa, data, size);
     respondVia(hostRespPort(cfg_), 16, MemOp::Write, hpa, size,
-               MemSource::Host, std::move(done));
+               std::move(done));
 }
 
 void
@@ -373,10 +364,8 @@ CxlMemoryExpander::cxlRead(Addr hpa, std::uint32_t size,
         // Carrier packet trick: the deferred return-value responder must
         // hold the completion callback without overflowing inline capture
         // buffers; a pooled packet is its zero-allocation home.
-        MemPacket *carrier = makePacket(MemOp::Read, hpa, size,
-                                        MemSource::Host, eq_.now(),
-                                        std::move(done))
-                                 .release();
+        MemPacket *carrier =
+            makePacket(MemOp::Read, hpa, size, std::move(done)).release();
         eq_.scheduleAfter(
             cfg_.m2func_latency,
             [this, asid, offset = match->offset, hpa, carrier] {
@@ -392,7 +381,7 @@ CxlMemoryExpander::cxlRead(Addr hpa, std::uint32_t size,
     }
     ++dstats_.host_reads;
     respondVia(hostRespPort(cfg_), size, MemOp::Read, hpa, size,
-               MemSource::Host, std::move(done));
+               std::move(done));
 }
 
 // --------------------------------------------------------------------------
@@ -597,8 +586,6 @@ CxlMemoryExpander::aggregateUnitStats() const
         total.traps_unmapped += s.traps_unmapped;
         total.traps_spad_oob += s.traps_spad_oob;
         total.uthreads_killed += s.uthreads_killed;
-        for (unsigned b = 0; b < NdpUnitStats::kBurstBuckets; ++b)
-            total.burst_hist[b] += s.burst_hist[b];
     }
     return total;
 }

@@ -108,7 +108,8 @@ class CxlMemoryExpander : public NdpUnitEnv, public NdpControllerEnv
     // ---- host-facing CXL.mem entry points (post-link delivery) ----
 
     /**
-     * A CXL.mem write (M2S RwD) arrived. Passes through the packet filter;
+     * A CXL.mem write (M2S RwD) of at most layout::kCxlDataBytes arrived
+     * (HostCxlPort enforces the bound). Passes through the packet filter;
      * M2func hits go to the NDP controller, everything else is a memory
      * write. @p done fires when the NDR response may be sent. The payload
      * is consumed (written to functional memory) before this returns, so
@@ -238,8 +239,7 @@ class CxlMemoryExpander : public NdpUnitEnv, public NdpControllerEnv
      * gone; the response path allocates nothing.
      */
     void respondVia(unsigned resp_port, std::uint32_t xbar_size, MemOp op,
-                    Addr pa, std::uint32_t size, MemSource source,
-                    TickCallback done);
+                    Addr pa, std::uint32_t size, TickCallback done);
 
     /** Hop frame for host/peer responses: books the response crossbar as
      *  a latency term on the completion tick (a = port | bytes<<32). */

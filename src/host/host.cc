@@ -1,5 +1,9 @@
 #include "host/host.hh"
 
+#include <algorithm>
+#include <cstring>
+
+#include "common/annotations.hh"
 #include "common/log.hh"
 
 namespace m2ndp {
@@ -13,26 +17,6 @@ HostCxlPort::HostCxlPort(EventQueue &eq, CxlLink &link,
 }
 
 HostCxlPort::~HostCxlPort() = default;
-
-HostCxlPort::HostAccess *
-HostCxlPort::allocAccess()
-{
-    HostAccess *a = access_pool_.acquire();
-    a->port = this;
-    a->big_data.reset();
-    a->done.reset();
-    a->failed = false;
-    a->read_out = nullptr;
-    return a;
-}
-
-void
-HostCxlPort::releaseAccess(HostAccess *a)
-{
-    a->done.reset();
-    a->big_data.reset();
-    access_pool_.release(a);
-}
 
 bool
 HostCxlPort::abortIfDown(HostAccess *a)
@@ -50,25 +34,9 @@ HostCxlPort::abortIfDownAtDevice(HostAccess *a)
     if (!link_.isDownAt(dev_eq_.now())) [[likely]]
         return false;
     a->failed = true;
-    postToHost(dev_eq_.now() + link_.config().oneway_latency, a,
-               &HostCxlPort::finish);
+    postToHostAt(dev_eq_.now() + link_.config().oneway_latency,
+                 [a] { a->port->finish(a); });
     return true;
-}
-
-void
-HostCxlPort::postToDevice(Tick when, HostAccess *a,
-                          void (HostCxlPort::*stage)(HostAccess *))
-{
-    domain_.post(SimDomain::kHost, dev_pid_, when,
-                 [a, stage] { (a->port->*stage)(a); });
-}
-
-void
-HostCxlPort::postToHost(Tick when, HostAccess *a,
-                        void (HostCxlPort::*stage)(HostAccess *))
-{
-    domain_.post(dev_pid_, SimDomain::kHost, when,
-                 [a, stage] { (a->port->*stage)(a); });
 }
 
 void
@@ -84,128 +52,113 @@ HostCxlPort::postToHostAt(Tick when, EventCallback cb)
 }
 
 // --------------------------------------------------------------------------
-// Write chain (M2S RwD -> S2M NDR)
+// Access chain: M2S RwD -> S2M NDR (write), M2S Req -> S2M DRS (read)
 // --------------------------------------------------------------------------
 
+M2NDP_HOT_PATH
 void
 HostCxlPort::writeAsync(Addr hpa, const void *data, std::uint32_t size,
                         TickCallback done)
 {
-    ++stats_.writes;
-    HostAccess *a = allocAccess();
-    a->hpa = hpa;
-    a->size = size;
-    a->start = eq_.now();
-    a->is_write = true;
-    a->done = std::move(done);
-    if (size <= HostAccess::kInlineBytes) {
-        std::memcpy(a->inline_data, data, size);
-    } else {
-        a->big_data = std::make_unique<std::uint8_t[]>(size);
-        std::memcpy(a->big_data.get(), data, size);
-    }
-    eq_.scheduleAfter(cfg_.host_overhead, [a] { a->port->wDeliver(a); });
+    issue(true, hpa, size, data, nullptr, std::move(done));
 }
 
-void
-HostCxlPort::wDeliver(HostAccess *a)
-{
-    if (abortIfDown(a))
-        return;
-    Tick arrive = link_.down().send(link_.writeReqBytes(a->size));
-    postToDevice(arrive, a, &HostCxlPort::wAtDevice);
-}
-
-void
-HostCxlPort::wAtDevice(HostAccess *a)
-{
-    if (abortIfDownAtDevice(a))
-        return;
-    dev_.cxlWrite(a->hpa, a->data(), a->size,
-                  [a](Tick t) { a->port->wDeviceDone(a, t); });
-}
-
-void
-HostCxlPort::wDeviceDone(HostAccess *a, Tick t)
-{
-    Tick at = std::max(dev_eq_.now(), t);
-    dev_eq_.schedule(at, [a] { a->port->wSendNdr(a); });
-}
-
-void
-HostCxlPort::wSendNdr(HostAccess *a)
-{
-    if (abortIfDownAtDevice(a))
-        return;
-    Tick back = link_.up().send(link_.ndrBytes());
-    postToHost(back + cfg_.host_overhead, a, &HostCxlPort::finish);
-}
-
-// --------------------------------------------------------------------------
-// Read chain (M2S Req -> S2M DRS)
-// --------------------------------------------------------------------------
-
+M2NDP_HOT_PATH
 void
 HostCxlPort::readAsync(Addr hpa, std::uint32_t size, TickCallback done)
 {
-    readAsync(hpa, size, nullptr, std::move(done));
+    issue(false, hpa, size, nullptr, nullptr, std::move(done));
 }
 
+M2NDP_HOT_PATH
 void
 HostCxlPort::readAsync(Addr hpa, std::uint32_t size, void *out,
                        TickCallback done)
 {
-    ++stats_.reads;
-    HostAccess *a = allocAccess();
+    issue(false, hpa, size, nullptr, out, std::move(done));
+}
+
+M2NDP_HOT_PATH
+void
+HostCxlPort::issue(bool is_write, Addr hpa, std::uint32_t size,
+                   const void *data, void *read_out, TickCallback done)
+{
+    if (size > layout::kCxlDataBytes) [[unlikely]]
+        M2_PANIC("CXL.mem access of ", size, " B exceeds the ",
+                 layout::kCxlDataBytes, " B data granule");
+    HostAccess *a = access_pool_.acquire();
+    a->port = this;
     a->hpa = hpa;
     a->size = size;
     a->start = eq_.now();
-    a->is_write = false;
-    a->read_out = out;
+    a->is_write = is_write;
+    a->failed = false;
+    a->read_out = read_out;
     a->done = std::move(done);
-    eq_.scheduleAfter(cfg_.host_overhead, [a] { a->port->rDeliver(a); });
+    if (is_write) {
+        ++stats_.writes;
+        std::memcpy(a->data, data, size);
+    } else {
+        ++stats_.reads;
+    }
+    eq_.scheduleAfter(cfg_.host_overhead, [a] { a->port->deliver(a); });
 }
 
+M2NDP_HOT_PATH
 void
-HostCxlPort::rDeliver(HostAccess *a)
+HostCxlPort::deliver(HostAccess *a)
 {
     if (abortIfDown(a))
         return;
-    Tick arrive = link_.down().send(link_.readReqBytes());
-    postToDevice(arrive, a, &HostCxlPort::rAtDevice);
+    Tick arrive = link_.down().send(a->is_write
+                                        ? link_.writeReqBytes(a->size)
+                                        : link_.readReqBytes());
+    postToDeviceAt(arrive, [a] { a->port->atDevice(a); });
 }
 
+M2NDP_HOT_PATH
 void
-HostCxlPort::rAtDevice(HostAccess *a)
+HostCxlPort::atDevice(HostAccess *a)
 {
     if (abortIfDownAtDevice(a))
         return;
-    dev_.cxlRead(a->hpa, a->size,
-                 [a](Tick t) { a->port->rDeviceDone(a, t); });
+    auto done = [a](Tick t) { a->port->deviceDone(a, t); };
+    if (a->is_write)
+        dev_.cxlWrite(a->hpa, a->data, a->size, done);
+    else
+        dev_.cxlRead(a->hpa, a->size, done);
 }
 
+M2NDP_HOT_PATH
 void
-HostCxlPort::rDeviceDone(HostAccess *a, Tick t)
+HostCxlPort::deviceDone(HostAccess *a, Tick t)
 {
     Tick at = std::max(dev_eq_.now(), t);
-    dev_eq_.schedule(at, [a] { a->port->rSendData(a); });
+    dev_eq_.schedule(at, [a] { a->port->respond(a); });
 }
 
+M2NDP_HOT_PATH
 void
-HostCxlPort::rSendData(HostAccess *a)
+HostCxlPort::respond(HostAccess *a)
 {
     if (abortIfDownAtDevice(a))
         return;
-    // The S2M DRS carries the data: capture the functional bytes at
-    // response-formation time, on the device partition. The destination
-    // buffer is quiescent while the access is in flight; the mailbox
-    // handoff publishes the bytes to the host thread before `done` runs.
-    if (a->read_out != nullptr)
-        dev_.funcRead(a->hpa, a->read_out, a->size);
-    Tick back = link_.up().send(link_.dataRespBytes(a->size));
-    postToHost(back + cfg_.host_overhead, a, &HostCxlPort::finish);
+    std::uint32_t bytes = link_.ndrBytes();
+    if (!a->is_write) {
+        // The S2M DRS carries the data: capture the functional bytes at
+        // response-formation time, on the device partition. The
+        // destination buffer is quiescent while the access is in flight;
+        // the mailbox handoff publishes the bytes to the host thread
+        // before `done` runs.
+        if (a->read_out != nullptr)
+            dev_.funcRead(a->hpa, a->read_out, a->size);
+        bytes = link_.dataRespBytes(a->size);
+    }
+    Tick back = link_.up().send(bytes);
+    postToHostAt(back + cfg_.host_overhead, [a] { a->port->finish(a); });
 }
 
+M2NDP_HOT_PATH
 void
 HostCxlPort::finish(HostAccess *a)
 {
@@ -216,7 +169,7 @@ HostCxlPort::finish(HostAccess *a)
         stats_.read_latency.add(static_cast<double>(now - a->start) / kNs);
     }
     TickCallback done = std::move(a->done);
-    releaseAccess(a);
+    access_pool_.release(a);
     if (done)
         done(now);
 }

@@ -9,12 +9,14 @@
  * (150 ns default; 300/600 ns variants).
  *
  * Accesses in flight are carried by slab-pooled `HostAccess` records: the
- * write payload (up to 64 B inline — the M2func maximum) and the completion
- * callback live on the record, so every event scheduled along the
- * issue -> link -> device -> link -> completion chain captures only the
- * record pointer and stays within the 48 B inline buffer. A warm host
- * access performs zero heap allocations end to end; payloads larger than
- * the inline buffer (bulk setup traffic) fall back to a heap copy.
+ * write payload and the completion callback live on the record, so every
+ * event along the one issue -> link -> device -> link -> completion chain
+ * captures only the record pointer and stays within the 48 B inline
+ * buffer. An access moves at most one 64 B data granule
+ * (`layout::kCxlDataBytes`: M2func payloads, KVS values, runtime calls), so
+ * the payload is always inline and a warm host access performs zero heap
+ * allocations end to end. Bulk data (kernel text, setup) goes through the
+ * device's untimed `funcWrite` / `funcRead` instead.
  *
  * Blocking helpers drive the event queue until the access completes, so
  * examples read as ordinary sequential host code.
@@ -23,14 +25,12 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
-#include <memory>
-#include <vector>
 
 #include "common/slab_pool.hh"
 #include "common/stats.hh"
 #include "cxl/link.hh"
 #include "device/cxl_memory_expander.hh"
+#include "mem/page_table.hh"
 #include "sim/event_queue.hh"
 #include "sim/partition.hh"
 
@@ -73,14 +73,17 @@ class HostCxlPort
     HostCxlPort &operator=(const HostCxlPort &) = delete;
 
     /**
-     * Async CXL.mem write (M2S RwD). The payload is copied onto a pooled
-     * access record (inline up to 64 B). @p done (optional) fires when the
-     * NDR returns.
+     * Async CXL.mem write (M2S RwD) of @p size <= layout::kCxlDataBytes
+     * bytes; larger accesses panic. The payload is copied onto a pooled
+     * access record. @p done (optional) fires when the NDR returns.
      */
     void writeAsync(Addr hpa, const void *data, std::uint32_t size,
                     TickCallback done);
 
-    /** Async CXL.mem read (M2S Req). @p done fires when data arrives. */
+    /**
+     * Async CXL.mem read (M2S Req) of @p size <= layout::kCxlDataBytes
+     * bytes; larger accesses panic. @p done fires when data arrives.
+     */
     void readAsync(Addr hpa, std::uint32_t size, TickCallback done);
 
     /**
@@ -148,9 +151,6 @@ class HostCxlPort
      */
     struct HostAccess
     {
-        /** Payload bytes stored inline (M2func payloads are <= 64 B). */
-        static constexpr std::uint32_t kInlineBytes = 64;
-
         HostAccess *next = nullptr; ///< freelist link
         HostCxlPort *port = nullptr;
         Addr hpa = 0;
@@ -162,19 +162,13 @@ class HostCxlPort
         /** Destination for read data, filled at DRS formation. */
         void *read_out = nullptr;
         TickCallback done;
-        std::uint8_t inline_data[kInlineBytes];
-        /** Cold fallback for bulk writes (setup traffic). */
-        std::unique_ptr<std::uint8_t[]> big_data;
-
-        const std::uint8_t *
-        data() const
-        {
-            return big_data ? big_data.get() : inline_data;
-        }
+        std::uint8_t data[layout::kCxlDataBytes]; ///< write payload
     };
 
-    HostAccess *allocAccess();
-    void releaseAccess(HostAccess *a);
+    /** Shared issue step of writeAsync/readAsync: size check, record,
+     *  host overhead, then `deliver`. */
+    void issue(bool is_write, Addr hpa, std::uint32_t size,
+               const void *data, void *read_out, TickCallback done);
 
     /**
      * Link-down short-circuit on host-side chain stages: the access is
@@ -191,23 +185,14 @@ class HostCxlPort
      */
     bool abortIfDownAtDevice(HostAccess *a);
 
-    /** Cross the host->device partition boundary (or same queue). */
-    void postToDevice(Tick when, HostAccess *a, void (HostCxlPort::*stage)(HostAccess *));
-    /** Cross the device->host partition boundary (or same queue). */
-    void postToHost(Tick when, HostAccess *a, void (HostCxlPort::*stage)(HostAccess *));
-
-    // Write chain: issue -> link -> device -> NDR -> completion.
-    // wDeliver runs on the host partition; wAtDevice, wDeviceDone and
-    // wSendNdr on the device partition; finish back on the host.
-    void wDeliver(HostAccess *a);
-    void wAtDevice(HostAccess *a);
-    void wDeviceDone(HostAccess *a, Tick t);
-    void wSendNdr(HostAccess *a);
-    // Read chain: issue -> link -> device -> data response -> completion.
-    void rDeliver(HostAccess *a);
-    void rAtDevice(HostAccess *a);
-    void rDeviceDone(HostAccess *a, Tick t);
-    void rSendData(HostAccess *a);
+    // One chain for both ops (M2S RwD -> S2M NDR, M2S Req -> S2M DRS),
+    // keyed by HostAccess::is_write: deliver runs on the host partition;
+    // atDevice, deviceDone and respond on the device partition; finish
+    // back on the host.
+    void deliver(HostAccess *a);
+    void atDevice(HostAccess *a);
+    void deviceDone(HostAccess *a, Tick t);
+    void respond(HostAccess *a);
     void finish(HostAccess *a);
 
     EventQueue &eq_;      ///< host partition queue

@@ -101,7 +101,7 @@ NdpEvent::release()
 NdpEvent
 NdpStream::launch(const LaunchDesc &desc)
 {
-    LaunchRecord *rec = rt_.makeRecord(desc, device_, false);
+    LaunchRecord *rec = rt_.makeRecord(desc, device_);
     ++launched_;
     if (rec->done) {
         // Rejected at submit time (bad kernel handle): the event carries
@@ -376,9 +376,7 @@ NdpRuntime::allocRecord()
     rec->refs = 0;
     rec->attempts = 0;
     rec->done = false;
-    rec->sync = false;
     rec->instance_id = static_cast<std::int64_t>(NdpError::Unknown);
-    rec->issued_at = 0;
     rec->completed_at = 0;
     rec->deadline = 0;
     rec->weight = 1;
@@ -397,13 +395,12 @@ NdpRuntime::releaseRecordRef(LaunchRecord *rec)
 }
 
 LaunchRecord *
-NdpRuntime::makeRecord(const LaunchDesc &desc, unsigned device, bool sync)
+NdpRuntime::makeRecord(const LaunchDesc &desc, unsigned device)
 {
     M2_ASSERT(device < devs_.size(), "launch to nonexistent device");
     LaunchRecord *rec = allocRecord();
     rec->desc = desc;
     rec->device = device;
-    rec->sync = sync;
     rec->deadline = desc.deadlineTick();
     rec->refs = 2; // runtime (until completion) + event handle
     if (deviceKernelId(devs_[device], desc.kernel()) < 0) {
@@ -441,7 +438,6 @@ NdpRuntime::issueRecord(LaunchRecord *rec)
     ++stats_.in_flight;
     stats_.peak_in_flight = std::max(stats_.peak_in_flight,
                                      stats_.in_flight);
-    rec->issued_at = eq_.now();
     // Deadline-aware shedding at the door: an expired launch never costs
     // device time. Sheds are typed terminal completions — never retried,
     // since an absolute deadline cannot be met by re-issuing.
@@ -646,7 +642,7 @@ NdpRuntime::findHealthyDevice()
 std::int64_t
 NdpRuntime::launchKernelSync(const LaunchDesc &desc, unsigned device)
 {
-    LaunchRecord *rec = makeRecord(desc, device, true);
+    LaunchRecord *rec = makeRecord(desc, device);
     if (!rec->done) {
         // Submit-time rejections count in neither launches nor
         // sync_launches, keeping sync_launches <= launches == issued.
@@ -751,7 +747,7 @@ NdpRuntime::m2funcLaunchOn(DeviceState &dev, unsigned slot,
     // device until the kernel terminates* — so its arrival doubles as the
     // completion notification, with no extra poll round trip.
     rec->slot = slot;
-    static_assert(LaunchDesc::kPayloadBytes <=
+    static_assert(layout::kCxlDataBytes <=
                       kM2FuncLaunchSlotStride * kM2FuncStride,
                   "launch payload must fit the launch-slot stride");
     Addr addr = dev.m2func_pa +
@@ -783,7 +779,7 @@ NdpRuntime::m2funcLaunchOn(DeviceState &dev, unsigned slot,
                             });
         return;
     }
-    std::uint8_t payload[LaunchDesc::kPayloadBytes];
+    std::uint8_t payload[layout::kCxlDataBytes];
     unsigned len = rec->desc.pack(
         payload, true, deviceKernelId(dev, rec->desc.kernel()),
         rec->weight);

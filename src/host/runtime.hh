@@ -213,8 +213,7 @@ class NdpRuntime
     void releaseRecordRef(LaunchRecord *rec);
 
     /** Create a record for @p desc on @p device (refs = 2). */
-    LaunchRecord *makeRecord(const LaunchDesc &desc, unsigned device,
-                             bool sync);
+    LaunchRecord *makeRecord(const LaunchDesc &desc, unsigned device);
 
     // ---- issue path (called by streams and sync launches) ----
     void issueRecord(LaunchRecord *rec);

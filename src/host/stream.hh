@@ -73,8 +73,6 @@ class LaunchDesc
   public:
     /** Arguments beyond 32 B must travel through memory (Section III-C). */
     static constexpr unsigned kMaxArgBytes = 32;
-    /** Total payload size: 32 B header + inline arguments. */
-    static constexpr unsigned kPayloadBytes = 64;
 
     LaunchDesc() = default;
 
@@ -123,10 +121,11 @@ class LaunchDesc
     Tick deadlineTick() const { return deadline_; }
 
     /**
-     * Serialize into the M2func wire format. @p out must hold
-     * kPayloadBytes. @p device_kernel_id is the id the target device knows
-     * the kernel by; @p weight is the stream's WRR priority (byte 2 of
-     * the header; 0 reads as 1 on the device). @return payload length.
+     * Serialize into the M2func wire format (32 B header + inline
+     * arguments). @p out must hold layout::kCxlDataBytes.
+     * @p device_kernel_id is the id the target device knows the kernel
+     * by; @p weight is the stream's WRR priority (byte 2 of the header;
+     * 0 reads as 1 on the device). @return payload length.
      */
     unsigned
     pack(std::uint8_t *out, bool sync, std::int64_t device_kernel_id,
@@ -177,7 +176,6 @@ struct LaunchRecord
     /** WRR priority inherited from the owning stream at submit. */
     std::uint8_t weight = 1;
     bool done = false;
-    bool sync = false;
     std::int64_t instance_id = -1;
     /**
      * M2func return value, carried by the deferred return-value read's
@@ -185,7 +183,6 @@ struct LaunchRecord
      * quiescent until the read's completion callback fires on the host).
      */
     std::int64_t m2f_ret = -1;
-    Tick issued_at = 0;
     Tick completed_at = 0;
     /** Optional completion hook (fires once, at completion tick). */
     LaunchCallback on_complete;

@@ -49,15 +49,6 @@ enum class MemOp : std::uint8_t {
     Atomic,
 };
 
-/** Who generated a packet; used for traffic accounting (Fig. 6b, Fig. 15). */
-enum class MemSource : std::uint8_t {
-    NdpUnit,
-    Host,
-    DramTlb,
-    BackInvalidation,
-    Peer,
-};
-
 struct MemPacket;
 
 /**
@@ -95,16 +86,9 @@ struct MemPacket
     MemOp op = MemOp::Read;
     Addr addr = 0;
     std::uint32_t size = 0;
-    MemSource source = MemSource::NdpUnit;
 
     /** Completion callback; invoked exactly once at completion tick. */
     TickCallback onComplete;
-
-    /** Tick the packet entered the device memory system (for stats). */
-    Tick issued_at = 0;
-
-    /** Monotonic ID for debugging / deterministic ordering. */
-    std::uint64_t id = 0;
 
     /**
      * Intrusive link. While pooled: the free-list chain. While in flight:
@@ -211,15 +195,12 @@ using MemPacketPtr = std::unique_ptr<MemPacket, MemPacketDeleter>;
 
 /** Allocate and fill a pooled packet. */
 inline MemPacketPtr
-makePacket(MemOp op, Addr addr, std::uint32_t size, MemSource source,
-           Tick issued_at, TickCallback cb)
+makePacket(MemOp op, Addr addr, std::uint32_t size, TickCallback cb)
 {
     MemPacket *pkt = MemPacketPool::alloc();
     pkt->op = op;
     pkt->addr = addr;
     pkt->size = size;
-    pkt->source = source;
-    pkt->issued_at = issued_at;
     pkt->onComplete = std::move(cb);
     return MemPacketPtr(pkt);
 }

@@ -62,6 +62,12 @@ deviceOf(Addr pa)
     return static_cast<unsigned>(pa >> kDeviceAddrBits);
 }
 
+/**
+ * Data granule of one CXL.mem access: the most one host load or store
+ * carries (an M2func payload, batched launch pair included; a KVS value).
+ */
+inline constexpr std::uint32_t kCxlDataBytes = 64;
+
 /** Reserved M2func area: top 16 MiB of each device's populated capacity. */
 inline constexpr std::uint64_t kM2FuncReserve = 16 * kMiB;
 /** Bytes of M2func region per host process. */

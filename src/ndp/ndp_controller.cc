@@ -125,9 +125,8 @@ void
 NdpController::handleWrite(Asid asid, std::uint64_t offset,
                            const M2FuncPayload &payload)
 {
-    // Oversize payloads are diagnosed at the CXL.mem ingress (cxlWrite),
-    // where the unclamped size is still known; here payload.size is
-    // already <= the 64 B wire maximum.
+    // payload.size <= layout::kCxlDataBytes: HostCxlPort rejects larger
+    // accesses before they reach the link.
     std::uint64_t fn_index = offset / kM2FuncStride;
     if (fn_index >= kM2FuncLaunchSlotBase) {
         handleLaunchWrite(asid, fn_index, payload);

@@ -93,9 +93,7 @@ inline constexpr unsigned kCompactMaxArgBytes = 8;
  */
 struct M2FuncPayload
 {
-    static constexpr std::size_t kMaxBytes = 64;
-
-    std::array<std::uint8_t, kMaxBytes> bytes{};
+    std::array<std::uint8_t, layout::kCxlDataBytes> bytes{};
     std::uint8_t size = 0;
 
     template <typename T>
@@ -151,7 +149,6 @@ struct NdpControllerConfig
 {
     unsigned max_concurrent_instances = 48;
     unsigned launch_queue_capacity = 4096;
-    std::uint64_t max_payload_bytes = 64;
     /**
      * Per-instance watchdog budget in ticks from activation (0 =
      * disabled, the default — no events are scheduled). An instance

@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -72,9 +71,6 @@ struct NdpUnitConfig
 /** Aggregate statistics for one NDP unit. */
 struct NdpUnitStats
 {
-    /** Burst-length histogram buckets (log2): 1, 2-3, 4-7, ... 128+. */
-    static constexpr unsigned kBurstBuckets = 8;
-
     std::uint64_t instructions = 0;
     std::uint64_t scalar_instructions = 0;
     std::uint64_t vector_instructions = 0;
@@ -117,7 +113,6 @@ struct NdpUnitStats
     std::uint64_t bursts = 0;
     std::uint64_t burst_cycles = 0; ///< cycles covered by recorded bursts
     std::uint64_t burst_max = 0;    ///< longest recorded burst (cycles)
-    std::array<std::uint64_t, kBurstBuckets> burst_hist{};
 
     void
     recordBurst(std::uint64_t len)
@@ -127,10 +122,6 @@ struct NdpUnitStats
         ++bursts;
         burst_cycles += len;
         burst_max = std::max(burst_max, len);
-        unsigned bucket =
-            len >= 128 ? kBurstBuckets - 1
-                       : static_cast<unsigned>(std::bit_width(len)) - 1;
-        ++burst_hist[bucket];
     }
 };
 

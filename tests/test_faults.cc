@@ -14,11 +14,17 @@
  *    shape what a launch error does to the rest of the stream,
  *  - losing a device mid-run on a 2-device runtime re-routes subsequent
  *    launches to the survivor while every affected launch reports a
- *    typed DeviceLost error.
+ *    typed DeviceLost error,
+ *  - a host CXL.mem read or write caught by a dead link, on the host side
+ *    or at the device, completes exactly once as a counted link abort,
+ *    and an access above the 64 B data granule is refused up front.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "system/system.hh"
@@ -821,6 +827,97 @@ TEST(DeviceLost, FailoverRespectsSurvivorAdmissionLimits)
     for (auto &ev : background)
         EXPECT_GT(ev.wait(), 0);
     EXPECT_TRUE(verifyVecAdd(sys, proc, big));
+}
+
+// -------------------------------------------------------------------------
+// Host CXL.mem port: the one read/write chain under link loss, and the
+// 64 B data-granule bound.
+// -------------------------------------------------------------------------
+
+/** An ordinary (non-M2func) host physical address on device 0. */
+constexpr Addr kPlainHpa = layout::deviceBase(0) + 4096;
+
+/**
+ * Issues one write and one read, forces the link down at @p down_at, and
+ * drains. Both completions fire exactly once, as link aborts: the link
+ * counts two aborts, no access record stays live, and no read-latency
+ * sample is taken. Returns the two completion ticks (write, read).
+ */
+std::pair<Tick, Tick>
+abortBothAccesses(System &sys, Tick down_at)
+{
+    HostCxlPort &port = sys.host();
+    const std::uint64_t aborts = port.stats().link_aborts;
+    const std::size_t samples = port.stats().read_latency.count();
+    const std::uint64_t payload = 0x5a5a;
+    unsigned write_done = 0, read_done = 0;
+    Tick write_at = 0, read_at = 0;
+    bool both = false;
+    port.writeAsync(kPlainHpa, &payload, sizeof(payload), [&](Tick t) {
+        ++write_done;
+        write_at = t;
+        both = read_done > 0;
+    });
+    port.readAsync(kPlainHpa, sizeof(payload), [&](Tick t) {
+        ++read_done;
+        read_at = t;
+        both = write_done > 0;
+    });
+    sys.link().forceLinkDown(down_at);
+    port.runUntil(both);
+    sys.run();
+    EXPECT_EQ(write_done, 1u);
+    EXPECT_EQ(read_done, 1u);
+    EXPECT_EQ(port.stats().link_aborts, aborts + 2);
+    EXPECT_EQ(port.liveAccesses(), 0u);
+    EXPECT_EQ(port.stats().read_latency.count(), samples);
+    return {write_at, read_at};
+}
+
+TEST(HostPortLinkDown, HostSideAbortBeforeDeliver)
+{
+    System sys{SystemConfig{}};
+    const Tick t0 = sys.eq().now();
+    const Tick issue = t0 + sys.host().config().host_overhead;
+    // Down from the issue tick: `deliver` sees it and finishes on the
+    // host without sending anything.
+    auto [write_at, read_at] = abortBothAccesses(sys, t0);
+    EXPECT_EQ(write_at, issue);
+    EXPECT_EQ(read_at, issue);
+}
+
+TEST(HostPortLinkDown, DeviceSideAbortAtDevice)
+{
+    System sys{SystemConfig{}};
+    const Tick t0 = sys.eq().now();
+    const Tick issue = t0 + sys.host().config().host_overhead;
+    const Tick oneway = sys.link().config().oneway_latency;
+    // Down one tick after `deliver` sent both requests: they reach the
+    // device on a dead link, and the failed completion crosses back at
+    // the one-way latency.
+    auto [write_at, read_at] = abortBothAccesses(sys, issue + 1);
+    EXPECT_GE(write_at, issue + 2 * oneway);
+    EXPECT_GE(read_at, issue + 2 * oneway);
+}
+
+TEST(HostPortAccess, OversizeAccessThrowsWithoutTakingARecord)
+{
+    System sys{SystemConfig{}};
+    HostCxlPort &port = sys.host();
+    std::uint8_t buf[layout::kCxlDataBytes + 1] = {};
+    EXPECT_THROW(port.writeAsync(kPlainHpa, buf, sizeof(buf), {}),
+                 std::logic_error);
+    EXPECT_THROW(port.readAsync(kPlainHpa, sizeof(buf), {}),
+                 std::logic_error);
+    EXPECT_THROW(port.readAsync(kPlainHpa, sizeof(buf), buf, {}),
+                 std::logic_error);
+    EXPECT_EQ(port.liveAccesses(), 0u);
+    // One full granule is the largest access and round-trips intact.
+    port.write(kPlainHpa, buf, layout::kCxlDataBytes);
+    std::uint8_t back[layout::kCxlDataBytes];
+    port.read(kPlainHpa, back, layout::kCxlDataBytes);
+    EXPECT_EQ(std::memcmp(back, buf, sizeof(back)), 0);
+    EXPECT_EQ(port.liveAccesses(), 0u);
 }
 
 } // namespace

@@ -239,10 +239,6 @@ TEST_F(IntegrationTest, SchedulerStatsAndDeterminism)
     EXPECT_GT(first.bursts, 0u);
     EXPECT_GE(first.burst_max, 2u);
     EXPECT_GT(first.stall_mem_wait, first.stall_fu_busy);
-    std::uint64_t hist_total = 0;
-    for (std::uint64_t h : first.burst_hist)
-        hist_total += h;
-    EXPECT_EQ(hist_total, first.bursts);
 
     // Scheduler-internal counters are deterministic, bit for bit.
     EXPECT_EQ(first.instructions, second.instructions);

@@ -260,7 +260,7 @@ _SCALAR_SIZES = {
     "double": 8, "float": 4, "unsigned": 4, "int": 4, "long": 8,
     "short": 2, "bool": 1, "char": 1,
     # project typedefs / narrow enums
-    "Tick": 8, "Addr": 8, "Asid": 2, "MemOp": 1, "MemSource": 1,
+    "Tick": 8, "Addr": 8, "Asid": 2, "MemOp": 1,
 }
 _SCALAR_DECL_RE = re.compile(
     r"(?<![\w:])(" +
